@@ -70,6 +70,17 @@ _build/default/bench/main.exe --smoke -j 2 fig13curves >/dev/null
 test -s results/fig13_latency_smoke.tsv
 rm -f results/fig13_latency_smoke.tsv
 
+echo "== bench fig7: 8-thread grid output identical under -j 1 and -j 2"
+# fig7 prints only simulated results (no wall-clock field), so the two
+# runs must agree byte for byte whichever domain ran each cell.
+fig7_j1=$(mktemp /tmp/sgxbounds-fig7-j1.XXXXXX.txt)
+fig7_j2=$(mktemp /tmp/sgxbounds-fig7-j2.XXXXXX.txt)
+trap 'rm -f "$trace" "$bench_out" "$fig7_j1" "$fig7_j2"' EXIT
+_build/default/bench/main.exe -j 1 fig7 >"$fig7_j1"
+_build/default/bench/main.exe -j 2 fig7 >"$fig7_j2"
+cmp "$fig7_j1" "$fig7_j2"
+rm -f "$fig7_j1" "$fig7_j2"
+
 echo "== CLI smoke: serve --smoke (underload + overload shed)"
 serve_out=$("$CLI" serve --app memcached --scheme sgxbounds --rate 400000 --smoke --json)
 if command -v jq >/dev/null 2>&1; then
@@ -220,6 +231,18 @@ if SGXBOUNDS_ENGINE=trace SGXBOUNDS_SCORE_PERTURB=-50 _build/default/bench/main.
   echo "trace-engine score gate failed to catch a deliberate improvement" >&2
   exit 1
 fi
+
+echo "== CHANGES.md: one '## PR N —' entry per PR, newest first"
+# strictly descending numbers means every heading is also unique
+awk '/^## PR [0-9]+ —/ {
+       n = $3 + 0
+       if (seen && n >= prev) {
+         printf "CHANGES.md:%d: PR %d follows PR %d (headings must be unique and descend)\n", NR, n, prev > "/dev/stderr"
+         bad = 1
+       }
+       prev = n; seen = 1
+     }
+     END { exit bad }' CHANGES.md
 
 echo "== committed bench documents validate"
 "$CLI" validate-bench BENCH_PR2.json

@@ -18,45 +18,35 @@
 module Config = Sb_machine.Config
 module Registry = Sb_workloads.Registry
 
-(** Leave one core for the coordinating domain; cap at 8 — grid cells
-    are memory-bound, and more domains than memory channels just thrash
-    the host caches. *)
-let default_jobs () =
-  max 1 (min 8 (Domain.recommended_domain_count () - 1))
-
 (** [map ~jobs f items] = [Array.map f items], fanned across [jobs]
-    domains pulling from a shared chunked work queue. Result order is
-    [items] order regardless of execution order. [jobs <= 1] runs
-    inline (no domain is spawned). An exception in any [f] is re-raised
-    (with its backtrace) after all domains join.
+    domains (the calling domain is one of them) pulling from a shared
+    work queue. Result order is [items] order regardless of execution
+    order. [jobs <= 1] runs inline (no domain is spawned). An exception
+    in any [f] is re-raised (with its backtrace) after all domains
+    join; when several items raise, the lowest-index one wins.
 
-    Workers claim contiguous {e chunks} of the index space, not single
-    cells: one [Atomic.fetch_and_add] hands out [chunk] cells, so
-    queue-head contention is amortized (cells are milliseconds of work,
-    but a fine-grained head is the one cache line every domain writes).
-    The chunk size splits the grid into ~4 batches per worker — small
-    enough that an unlucky domain stuck with the slowest cells still
-    load-balances, large enough that the queue head stays cold. *)
+    Each [Atomic.fetch_and_add] claims a single cell. Grid cells cost
+    anywhere from ~10 ms to ~4 s of host time, so one claim per cell is
+    noise next to the work it hands out, and any multi-cell claim would
+    pin neighbouring expensive cells to one domain: the four dedup
+    cells of the Figure 7 grid, when claimed together, left the other
+    domain idle for most of the round. *)
 let map ?(jobs = 1) f items =
   let n = Array.length items in
   if jobs <= 1 || n <= 1 then Array.map f items
   else begin
     let jobs = min jobs n in
-    let chunk = max 1 (n / (jobs * 4)) in
     let next = Atomic.make 0 in
     let results = Array.make n None in
     let worker () =
       let rec go () =
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo < n then begin
-          let hi = min n (lo + chunk) in
-          for i = lo to hi - 1 do
-            let r =
-              try Ok (f items.(i))
-              with e -> Error (e, Printexc.get_raw_backtrace ())
-            in
-            results.(i) <- Some r
-          done;
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          let r =
+            try Ok (f items.(i))
+            with e -> Error (e, Printexc.get_raw_backtrace ())
+          in
+          results.(i) <- Some r;
           go ()
         end
       in
