@@ -158,10 +158,22 @@ if command -v jq >/dev/null 2>&1; then
 fi
 test "$fleet_kill" = "$(fleet_kill_cmd)"
 
-echo "== bench smoke: fleetcap (capacity vs shard count)"
-_build/default/bench/main.exe --smoke -j 2 fleetcap >/dev/null
-"$CLI" validate-bench results/fleet_capacity_smoke.tsv
-rm -f results/fleet_capacity_smoke.tsv
+echo "== bench fleetcap: regenerate with -j 2, compare to committed, validate"
+# The full table rewrites results/fleet_capacity.tsv in place: keep the
+# committed bytes aside and put them back if the regenerated ones differ.
+# Cells run across -j 2 and each cell's instances on their own domains,
+# so this also checks that both layers of host parallelism are invisible.
+fleetcap_prev=$(mktemp /tmp/sgxbounds-fleetcap.XXXXXX.tsv)
+trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$fleetcap_prev"' EXIT
+cp results/fleet_capacity.tsv "$fleetcap_prev"
+_build/default/bench/main.exe -j 2 fleetcap >/dev/null
+if ! cmp "$fleetcap_prev" results/fleet_capacity.tsv; then
+  cp "$fleetcap_prev" results/fleet_capacity.tsv
+  echo "results/fleet_capacity.tsv: regenerated table differs from the committed one" >&2
+  exit 1
+fi
+rm -f "$fleetcap_prev"
+"$CLI" validate-bench results/fleet_capacity.tsv
 
 echo "== CLI smoke: profile (site attribution, 1 workload x 2 schemes)"
 prof_out=$("$CLI" profile -w kmeans -s sgxbounds -n 512 --json)
@@ -248,7 +260,6 @@ echo "== committed bench documents validate"
 "$CLI" validate-bench BENCH_PR2.json
 "$CLI" validate-bench BENCH_PR6.json
 "$CLI" validate-bench BENCH_PR7.json
-"$CLI" validate-bench results/fleet_capacity.tsv
 
 echo "== audit selftest: seeded race + annotation mutants"
 "$CLI" analyze --selftest >/dev/null

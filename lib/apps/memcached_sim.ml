@@ -50,6 +50,10 @@ type t = {
 }
 
 let request_bytes = 32
+
+(* every request's wire bytes: the model never looks inside them *)
+let request = String.make request_bytes 'r'
+
 let null = { v = 0; bnd = None }
 
 let create ?(nbuckets = 8192) ?(value_bytes = 96) ?(max_items = max_int) ctx =
@@ -232,7 +236,6 @@ let memaslap t ~keys ~ops =
   for k = 0 to keys - 1 do
     set_kv t k k
   done;
-  let request = String.make request_bytes 'r' in
   let start = Memsys.get_clock t.ctx.ms 0 in
   parallel t.ctx ops (fun _tid lo hi ->
       for _op = lo to hi - 1 do
@@ -259,7 +262,7 @@ let open_conn ?(shield = Sb_scone.Scone.No_shield) t =
     request in through the syscall interface, one get or set, response
     out. [buf] must hold at least [request_bytes] and the value size. *)
 let serve_request t ~conn ~buf ~key ~is_get =
-  Sb_scone.Scone.feed t.world conn (String.make request_bytes 'r');
+  Sb_scone.Scone.feed t.world conn request;
   ignore (Sb_scone.Scone.read t.world conn ~buf ~len:request_bytes);
   (if is_get then ignore (get t key) else set_kv t key key);
   ignore (Sb_scone.Scone.write t.world conn ~buf ~len:t.value_bytes)

@@ -4,10 +4,12 @@
     Every adapter shares one server instance (heap, SCONE world) across
     workers — the contention the paper's Figure 13 measures — while each
     worker owns its connection channel and I/O buffers, like distinct
-    client sockets multiplexed onto server threads. Request parameters
-    (keys, get/set mix) are drawn from the context's seeded RNG, so the
-    op sequence is a deterministic function of the seed and the service
-    schedule. *)
+    client sockets multiplexed onto server threads. Nothing reads a
+    response back, so each handler discards its connection's wire bytes
+    after the write instead of keeping every response of the run.
+    Request parameters (keys, get/set mix) are drawn from the context's
+    seeded RNG, so the op sequence is a deterministic function of the
+    seed and the service schedule. *)
 
 module Scheme = Sb_protection.Scheme
 module Scone = Sb_scone.Scone
@@ -59,7 +61,11 @@ let make_entries app (ctx : Wctx.t) ~workers =
     let srv = Http_sim.create_server ctx in
     let conns = Array.init workers (fun _ -> Http_sim.open_worker_conn srv) in
     {
-      e_handler = (fun ~worker -> Http_sim.serve_request srv conns.(worker));
+      e_handler =
+        (fun ~worker ->
+           let wc = conns.(worker) in
+           Http_sim.serve_request srv wc;
+           Scone.clear_sent srv.Http_sim.world wc.Http_sim.wc_fd);
       (* recv_request fills and the parser scans the first 256 bytes *)
       e_requests =
         Array.map (fun wc -> (addr wc.Http_sim.wc_in, 256)) conns;
@@ -79,7 +85,8 @@ let make_entries app (ctx : Wctx.t) ~workers =
            let key = Rng.int ctx.Wctx.rng (memcached_keys * 10 / 8) in
            let is_get = Rng.bernoulli ctx.Wctx.rng 0.9 in
            Memcached_sim.serve_request t ~conn:conns.(worker)
-             ~buf:bufs.(worker) ~key ~is_get);
+             ~buf:bufs.(worker) ~key ~is_get;
+           Scone.clear_sent t.Memcached_sim.world conns.(worker));
       e_requests = Array.map (fun b -> (addr b, 1024)) bufs;
     }
   | Sqlite ->
@@ -104,7 +111,8 @@ let make_entries app (ctx : Wctx.t) ~workers =
            let key = Rng.int ctx.Wctx.rng sqlite_rows in
            Sqlite_sim.serve_query t key
              ~is_select:(Rng.bernoulli ctx.Wctx.rng 0.9);
-           ignore (Scone.write world conn ~buf ~len:response_bytes));
+           ignore (Scone.write world conn ~buf ~len:response_bytes);
+           Scone.clear_sent world conn);
       e_requests = Array.map (fun b -> (addr b, 256)) bufs;
     }
 

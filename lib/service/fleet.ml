@@ -29,7 +29,9 @@
     seeded op stream, measured machine cycles), kills are configured
     times, and ties break on instance index — so a run is a pure
     function of its config, bit-identical across the naive/fast/trace
-    engines and for any host parallelism around it. *)
+    engines and for any host parallelism around it. Inside a run the
+    instances are built, and under [Hash] and [Round_robin] also served,
+    on their own domains (see {!run}); that changes no result either. *)
 
 module Config = Sb_machine.Config
 module Rng = Sb_machine.Rng
@@ -237,6 +239,8 @@ type inst = {
   mutable lost : int;
   mutable restarts : int;
   mutable max_queue : int;
+  mutable shed : int;           (* arrivals turned away by a full queue *)
+  mutable last_fin : int;       (* latest completion *)
   latency : Histogram.t;
   queue_wait : Histogram.t;
   spans : Spans.log option;
@@ -250,6 +254,15 @@ let load inst ~t =
   let busy = ref 0 in
   Array.iter (fun f -> if f > t then incr busy) inst.free_at;
   Queue.length inst.queue + !busy
+
+(* The worker that takes the queue head next: the earliest free one,
+   lowest index on ties. *)
+let next_worker inst =
+  let w = ref 0 in
+  for i = 1 to Array.length inst.free_at - 1 do
+    if inst.free_at.(i) < inst.free_at.(!w) then w := i
+  done;
+  !w
 
 (* The shard an instance preloads: under hash routing, exactly the keys
    it owns on the ring; under the replicating policies, every record. *)
@@ -277,19 +290,22 @@ let build (cfg : config) ring idx ~seed =
   let bufs = Array.init cfg.workers (fun _ -> s.Scheme.malloc 1024) in
   let serve ~worker op =
     let conn = conns.(worker) and buf = bufs.(worker) in
-    match op with
-    | Ycsb.Read k -> Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:true
-    | Ycsb.Update k | Ycsb.Insert k ->
-      Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:false
-    | Ycsb.Rmw k ->
-      (* one request envelope; the write-back is server-side *)
-      Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:true;
-      Memcached_sim.set_kv t k k
-    | Ycsb.Scan (k, len) ->
-      Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:true;
-      for j = 1 to len - 1 do
-        ignore (Memcached_sim.get t (k + j))
-      done
+    (match op with
+     | Ycsb.Read k -> Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:true
+     | Ycsb.Update k | Ycsb.Insert k ->
+       Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:false
+     | Ycsb.Rmw k ->
+       (* one request envelope; the write-back is server-side *)
+       Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:true;
+       Memcached_sim.set_kv t k k
+     | Ycsb.Scan (k, len) ->
+       Memcached_sim.serve_request t ~conn ~buf ~key:k ~is_get:true;
+       for j = 1 to len - 1 do
+         ignore (Memcached_sim.get t (k + j))
+       done);
+    (* nothing reads the response bytes back; dropping them keeps the
+       connection from holding every response of the run *)
+    Scone.clear_sent t.Memcached_sim.world conn
   in
   (ms, serve)
 
@@ -308,41 +324,37 @@ let install_spans_hook inst =
     Each request runs to completion on the instance's machine — its
     measured cycles set the worker's next free time — and is classified
     immediately: completed if it finishes before the kill, lost if the
-    kill lands mid-execution. *)
-let advance_inst inst ops arrivals ~t ~on_fin =
+    kill lands mid-execution. A request leaves the queue only once it has
+    run, so one that raises is still the queue head. *)
+let advance_inst inst ops arrivals ~t =
   let horizon = min t (next_kill inst - 1) in
   let continue = ref true in
   while !continue do
     match Queue.peek_opt inst.queue with
     | None -> continue := false
     | Some (id, enq) ->
-      let w = ref 0 in
-      for i = 1 to Array.length inst.free_at - 1 do
-        if inst.free_at.(i) < inst.free_at.(!w) then w := i
-      done;
-      let w = !w in
+      let w = next_worker inst in
       let start = max inst.free_at.(w) enq in
       if start > horizon then continue := false
       else begin
-        ignore (Queue.pop inst.queue);
         Memsys.set_thread inst.ms w;
         Memsys.set_clock inst.ms w start;
         (match inst.spans with
          | Some log -> Spans.begin_exec log ~worker:w
          | None -> ());
         inst.serve ~worker:w ops.(id);
+        ignore (Queue.pop inst.queue);
         let fin = Memsys.get_clock inst.ms w in
         inst.free_at.(w) <- fin;
         if fin <= next_kill inst then begin
           inst.completed <- inst.completed + 1;
+          if fin > inst.last_fin then inst.last_fin <- fin;
           Histogram.observe inst.latency (fin - arrivals.(id));
           Histogram.observe inst.queue_wait (start - arrivals.(id));
-          (match inst.spans with
-           | Some log ->
-             Spans.finish log ~id ~worker:w ~arrival:arrivals.(id) ~dequeue:start
-               ~fin
-           | None -> ());
-          on_fin fin
+          match inst.spans with
+          | Some log ->
+            Spans.finish log ~id ~worker:w ~arrival:arrivals.(id) ~dequeue:start ~fin
+          | None -> ()
         end
         else begin
           (* the enclave dies with this request on the worker *)
@@ -356,7 +368,22 @@ let advance_inst inst ops arrivals ~t ~on_fin =
 
 (** [run ?spans cfg] drives the whole schedule and returns the merged
     stats. With [spans], each instance keeps its own slowest-K exemplar
-    reservoir (observation only — stats are unchanged). *)
+    reservoir (observation only — stats are unchanged).
+
+    The reference semantics is the per-arrival loop: at every arrival,
+    apply the kills due, advance every instance to the arrival time, then
+    route the arrival. [Least_loaded] runs exactly that, because its
+    routing reads every instance's load. Under [Hash] and [Round_robin]
+    the instance an arrival goes to depends only on the kill schedule
+    (ring ownership, alive windows, the round-robin counter, sticky
+    clients), and a full queue sheds against that instance's own queue.
+    So those runs go epoch by epoch, an epoch being the span up to the
+    next kill time: route the epoch's arrivals, then let each instance
+    admit and serve its share on its own domain, then apply the kills.
+    An instance advanced only at its own arrivals serves the same FIFO
+    queue in the same order at the same start times as one advanced at
+    every arrival, so both drivers give bit-identical results. Instances
+    are built on their own domains too. *)
 let run ?spans (cfg : config) =
   if cfg.instances < 1 then invalid_arg "Fleet.run: instances must be >= 1";
   if cfg.workers < 1 then invalid_arg "Fleet.run: workers must be >= 1";
@@ -380,50 +407,58 @@ let run ?spans (cfg : config) =
       ~records:cfg.records ~n:cfg.requests ()
   in
   let ring = Ring.make cfg.instances in
+  let jobs = min cfg.instances (Domain.recommended_domain_count ()) in
   (* every machine ever built, retired when the run ends (or crashes) *)
   let machines = ref [] in
   let retire_all () = List.iter Memsys.retire !machines in
   let kills = List.sort compare (List.map (fun (i, at) -> (at, i)) cfg.kills) in
   let outcome =
     match
-      let insts =
-        Array.init cfg.instances (fun idx ->
-            let ms, serve = build cfg ring idx ~seed:(inst_seed cfg idx 0) in
-            machines := ms :: !machines;
-            let inst =
-              {
-                idx;
-                ms;
-                serve;
-                queue = Queue.create ();
-                free_at = Array.make cfg.workers 0;
-                down_until = 0;
-                pending_kills =
-                  List.filter_map
-                    (fun (at, i) -> if i = idx then Some at else None)
-                    kills;
-                completed = 0;
-                lost = 0;
-                restarts = 0;
-                max_queue = 0;
-                latency = Histogram.create (Printf.sprintf "fleet.%d.latency" idx);
-                queue_wait =
-                  Histogram.create (Printf.sprintf "fleet.%d.queue_wait" idx);
-                spans =
-                  Option.map (fun cap -> Spans.create ~cap ~workers:cfg.workers ())
-                    spans;
-              }
-            in
-            install_spans_hook inst;
-            inst)
+      let make_inst idx =
+        let ms, serve = build cfg ring idx ~seed:(inst_seed cfg idx 0) in
+        let inst =
+          {
+            idx;
+            ms;
+            serve;
+            queue = Queue.create ();
+            free_at = Array.make cfg.workers 0;
+            down_until = 0;
+            pending_kills =
+              List.filter_map (fun (at, i) -> if i = idx then Some at else None) kills;
+            completed = 0;
+            lost = 0;
+            restarts = 0;
+            max_queue = 0;
+            shed = 0;
+            last_fin = 0;
+            latency = Histogram.create (Printf.sprintf "fleet.%d.latency" idx);
+            queue_wait = Histogram.create (Printf.sprintf "fleet.%d.queue_wait" idx);
+            spans =
+              Option.map (fun cap -> Spans.create ~cap ~workers:cfg.workers ()) spans;
+          }
+        in
+        install_spans_hook inst;
+        inst
       in
-      let dropped = ref 0 and failed_over = ref 0 and last_fin = ref 0 in
+      (* whatever was built is retired even if another build raised; the
+         lowest-index failure is the one a sequential build would hit *)
+      let built =
+        Parallel_runner.map ~jobs
+          (fun idx ->
+             try Ok (make_inst idx) with e -> Error (e, Printexc.get_raw_backtrace ()))
+          (Array.init cfg.instances Fun.id)
+      in
+      Array.iter (function Ok inst -> machines := inst.ms :: !machines | Error _ -> ()) built;
+      let insts =
+        Array.map
+          (function Ok inst -> inst | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+          built
+      in
+      let dropped = ref 0 and failed_over = ref 0 in
       let rr = ref 0 in
       let sticky = Array.make cfg.clients (-1) in
-      let on_fin fin = if fin > !last_fin then last_fin := fin in
-      let advance_all ~t =
-        Array.iter (fun inst -> advance_inst inst ops arrivals ~t ~on_fin) insts
-      in
+      let advance_all ~t = Array.iter (fun inst -> advance_inst inst ops arrivals ~t) insts in
       let rr_next ~t =
         let n = cfg.instances in
         let rec go tries =
@@ -449,44 +484,42 @@ let run ?spans (cfg : config) =
           insts;
         Option.map fst !best
       in
-      (* Route one request at time [t]: pick an instance by policy among
-         the alive ones, shed if its queue is full (or nothing is up). *)
-      let route ~t ~id ~requeue =
-        let choice =
-          match cfg.policy with
-          | Hash ->
-            Ring.owner_alive ring ~alive:(fun i -> alive insts.(i) ~t)
-              (Ycsb.op_key ops.(id))
-          | Round_robin | Least_loaded ->
-            let client = id mod cfg.clients in
-            if
-              cfg.affinity && sticky.(client) >= 0
-              && alive insts.(sticky.(client)) ~t
-            then Some sticky.(client)
-            else begin
-              let c =
-                match cfg.policy with
-                | Round_robin -> rr_next ~t
-                | Least_loaded -> ll_pick ~t
-                | Hash -> assert false
-              in
-              (match c with
-               | Some i when cfg.affinity -> sticky.(client) <- i
-               | _ -> ());
-              c
-            end
-        in
-        match choice with
-        | None -> incr dropped
-        | Some i ->
-          let inst = insts.(i) in
-          if Queue.length inst.queue >= cfg.queue_cap then incr dropped
+      (* The instance a request at time [t] goes to: chosen by policy
+         among the alive ones, [None] if nothing is up. *)
+      let pick ~t ~id =
+        match cfg.policy with
+        | Hash ->
+          Ring.owner_alive ring ~alive:(fun i -> alive insts.(i) ~t) (Ycsb.op_key ops.(id))
+        | Round_robin | Least_loaded ->
+          let client = id mod cfg.clients in
+          if cfg.affinity && sticky.(client) >= 0 && alive insts.(sticky.(client)) ~t then
+            Some sticky.(client)
           else begin
-            Queue.add (id, t) inst.queue;
-            if Queue.length inst.queue > inst.max_queue then
-              inst.max_queue <- Queue.length inst.queue;
-            if requeue then incr failed_over
+            let c =
+              match cfg.policy with
+              | Round_robin -> rr_next ~t
+              | Least_loaded -> ll_pick ~t
+              | Hash -> assert false
+            in
+            (match c with Some i when cfg.affinity -> sticky.(client) <- i | _ -> ());
+            c
           end
+      in
+      (* Queue the request on [inst], or shed it if the queue is full.
+         Touches nothing outside [inst] unless [requeue]. *)
+      let admit inst ~t ~id ~requeue =
+        if Queue.length inst.queue >= cfg.queue_cap then inst.shed <- inst.shed + 1
+        else begin
+          Queue.add (id, t) inst.queue;
+          if Queue.length inst.queue > inst.max_queue then
+            inst.max_queue <- Queue.length inst.queue;
+          if requeue then incr failed_over
+        end
+      in
+      let route ~t ~id ~requeue =
+        match pick ~t ~id with
+        | None -> incr dropped
+        | Some i -> admit insts.(i) ~t ~id ~requeue
       in
       let do_kill inst ~at =
         inst.pending_kills <- List.tl inst.pending_kills;
@@ -525,14 +558,74 @@ let run ?spans (cfg : config) =
           | _ -> continue := false
         done
       in
-      for id = 0 to cfg.requests - 1 do
-        let t = arrivals.(id) in
-        process_kills_until t;
-        advance_all ~t;
-        route ~t ~id ~requeue:false
-      done;
-      process_kills_until max_int;
-      advance_all ~t:max_int;
+      (match cfg.policy with
+       | Least_loaded ->
+         for id = 0 to cfg.requests - 1 do
+           let t = arrivals.(id) in
+           process_kills_until t;
+           advance_all ~t;
+           route ~t ~id ~requeue:false
+         done;
+         process_kills_until max_int;
+         advance_all ~t:max_int
+       | Hash | Round_robin ->
+         let owner = Array.make cfg.requests (-1) in
+         let rec epoch lo =
+           let until = match !pending with (at, _) :: _ -> at | [] -> max_int in
+           let hi = ref lo in
+           while !hi < cfg.requests && arrivals.(!hi) < until do
+             let id = !hi in
+             (match pick ~t:arrivals.(id) ~id with
+              | Some i -> owner.(id) <- i
+              | None -> incr dropped);
+             incr hi
+           done;
+           let hi = !hi in
+           (* The per-arrival loop's step at which a failure would have
+              surfaced (arrival [id] is step [2 id + 1], the kills closing
+              the epoch step [2 hi]): the raising request, still the queue
+              head, runs at the first step after its enqueue whose
+              horizon reaches its start. A requeued request (enqueued at
+              a kill time, after its arrival) entered before [lo]. *)
+           let failure_step inst =
+             match Queue.peek_opt inst.queue with
+             | None -> 2 * hi
+             | Some (id, enq) ->
+               let start = max inst.free_at.(next_worker inst) enq in
+               let j = ref (if enq = arrivals.(id) then max lo (id + 1) else lo) in
+               while !j < hi && arrivals.(!j) < start do incr j done;
+               if !j < hi then (2 * !j) + 1 else 2 * hi
+           in
+           let serve_share inst =
+             match
+               for id = lo to hi - 1 do
+                 if owner.(id) = inst.idx then begin
+                   let t = arrivals.(id) in
+                   advance_inst inst ops arrivals ~t;
+                   admit inst ~t ~id ~requeue:false
+                 end
+               done;
+               advance_inst inst ops arrivals ~t:until
+             with
+             | () -> None
+             | exception e -> Some (failure_step inst, e, Printexc.get_raw_backtrace ())
+           in
+           (* several failures: the earliest step wins, then the lowest index *)
+           let earliest a b =
+             match (a, b) with
+             | None, _ -> b
+             | Some (sa, _, _), Some (sb, _, _) when sb < sa -> b
+             | _ -> a
+           in
+           (match Array.fold_left earliest None (Parallel_runner.map ~jobs serve_share insts) with
+            | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+            | None -> ());
+           if until < max_int then begin
+             process_kills_until until;
+             epoch hi
+           end
+         in
+         epoch 0);
       let per_instance =
         Array.map
           (fun inst ->
@@ -549,14 +642,15 @@ let run ?spans (cfg : config) =
           insts
       in
       let hs f = Array.to_list (Array.map f per_instance) in
+      let sum f = Array.fold_left (fun a inst -> a + f inst) 0 insts in
       {
         offered = cfg.requests;
-        completed = Array.fold_left (fun a i -> a + i.i_completed) 0 per_instance;
-        dropped = !dropped;
+        completed = sum (fun i -> i.completed);
+        dropped = !dropped + sum (fun i -> i.shed);
         failed_over = !failed_over;
-        lost = Array.fold_left (fun a i -> a + i.i_lost) 0 per_instance;
-        restarts = Array.fold_left (fun a i -> a + i.i_restarts) 0 per_instance;
-        elapsed = !last_fin;
+        lost = sum (fun i -> i.lost);
+        restarts = sum (fun i -> i.restarts);
+        elapsed = Array.fold_left (fun a inst -> max a inst.last_fin) 0 insts;
         records = final_records;
         latency = Latency.merge "fleet.latency" (hs (fun i -> i.i_latency));
         queue_wait = Latency.merge "fleet.queue_wait" (hs (fun i -> i.i_queue_wait));

@@ -42,7 +42,8 @@ module Histogram = struct
 
   let observe t v =
     let v = max 0 v in
-    t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
+    let b = bucket_of v in
+    t.buckets.(b) <- t.buckets.(b) + 1;
     t.count <- t.count + 1;
     t.sum <- t.sum + v;
     if v > t.max then t.max <- v

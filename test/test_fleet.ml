@@ -1,5 +1,6 @@
 (** Fleet failover pyramid: kill-and-restart determinism across all
-    three memory engines and any [--jobs], balancer shedding under
+    three memory engines and any [--jobs], golden fingerprints for every
+    policy with and without kills, balancer shedding under
     overload, the consistent-hash ring's golden assignments and bounded
     remap, and the per-instance histogram merge against the pooled exact
     reference. *)
@@ -83,6 +84,99 @@ let test_failover_accounting () =
     (inst_sum (fun i -> i.Fleet.i_completed));
   Alcotest.(check int) "per-instance losses add up" st.Fleet.lost
     (inst_sum (fun i -> i.Fleet.i_lost))
+
+(* ---------- golden fingerprints ---------- *)
+
+(* Absolute pins, so a drive loop that serves, sheds or fails over in a
+   different order cannot pass by agreeing with itself. Three instances
+   of two workers: the no-kill runs shed from 6-deep queues at 6 M rps;
+   the kill runs burst into 4-deep queues and take a kill, two kills at
+   one instant (the fleet is briefly all down) and a second kill of a
+   relaunched instance. *)
+let golden_base =
+  {
+    Fleet.default with
+    Fleet.instances = 3;
+    workers = 2;
+    queue_cap = 6;
+    requests = 500;
+    rate_rps = 6_000_000.;
+    seed = 5;
+    workload = Ycsb.A;
+    records = 768;
+  }
+
+let golden_kills =
+  {
+    golden_base with
+    Fleet.requests = 2400;
+    rate_rps = 250_000.;
+    process = Loadgen.Burst 12;
+    queue_cap = 4;
+    kills = [ (1, 482_000); (0, 2_500_000); (2, 2_500_000); (1, 6_000_000) ];
+  }
+
+let golden =
+  [
+    ( "hash", golden_base,
+      "off=500 done=305 drop=195 fo=0 lost=0 rs=0 el=86278 rec=768 p50=5496 p99=6678 \
+       max=6678 sum=1535407 qsum=1036586 inst=[102/0/0/6;97/0/0/6;106/0/0/6]" );
+    ( "hash, kills", golden_kills,
+      "off=2400 done=1498 drop=898 fo=0 lost=4 rs=4 el=9605602 rec=768 p50=2848 p99=8110 \
+       max=32032 sum=4768554 qsum=2155823 inst=[524/2/1/4;257/1/2/4;717/1/1/4]" );
+    ( "round-robin", { golden_base with Fleet.policy = Fleet.Round_robin },
+      "off=500 done=284 drop=216 fo=0 lost=0 rs=0 el=86947 rec=768 p50=6098 p99=8406 \
+       max=8406 sum=1857922 qsum=1343010 inst=[93/0/0/6;97/0/0/6;94/0/0/6]" );
+    ( "round-robin, kills", { golden_kills with Fleet.policy = Fleet.Round_robin },
+      "off=2400 done=1349 drop=1045 fo=2 lost=6 rs=4 el=9605056 rec=768 p50=3145 p99=8081 \
+       max=8561 sum=4592633 qsum=2243119 inst=[602/2/1/4;145/2/2/4;602/2/1/4]" );
+    ( "round-robin, affinity, kills",
+      { golden_kills with Fleet.policy = Fleet.Round_robin; affinity = true; clients = 16 },
+      "off=2400 done=1328 drop=1066 fo=1 lost=6 rs=4 el=9605056 rec=768 p50=3115 p99=8076 \
+       max=8561 sum=4488777 qsum=2173755 inst=[596/2/1/4;143/2/2/4;589/2/1/4]" );
+    ( "least-loaded", { golden_base with Fleet.policy = Fleet.Least_loaded },
+      "off=500 done=287 drop=213 fo=0 lost=0 rs=0 el=86403 rec=768 p50=6106 p99=8454 \
+       max=8454 sum=1883523 qsum=1370871 inst=[94/0/0/6;96/0/0/6;97/0/0/6]" );
+    ( "least-loaded, kills", { golden_kills with Fleet.policy = Fleet.Least_loaded },
+      "off=2400 done=1349 drop=1045 fo=1 lost=6 rs=4 el=9605056 rec=768 p50=3148 p99=8082 \
+       max=8561 sum=4597682 qsum=2245816 inst=[603/2/1/4;145/2/2/4;601/2/1/4]" );
+    ( "least-loaded, affinity, kills",
+      { golden_kills with Fleet.policy = Fleet.Least_loaded; affinity = true; clients = 16 },
+      "off=2400 done=1349 drop=1045 fo=2 lost=6 rs=4 el=9605056 rec=768 p50=3166 p99=8082 \
+       max=8561 sum=4603470 qsum=2252190 inst=[606/2/1/4;143/2/2/4;600/2/1/4]" );
+  ]
+
+let test_golden_fingerprints () =
+  List.iter
+    (fun (name, cfg, want) ->
+       Alcotest.(check string) name want (Fleet.fingerprint (run_ok cfg)))
+    golden
+
+(* Two MPX instances, each holding every record just under the enclave
+   limit, both run out of memory mid-serve, at different arrivals. The
+   run reports the failure the per-arrival loop meets first; both raise
+   the same message, so this pins the outcome, not which one won. *)
+let test_golden_error () =
+  let cfg =
+    {
+      Fleet.default with
+      Fleet.instances = 2;
+      workers = 2;
+      requests = 3000;
+      rate_rps = 200_000.;
+      seed = 3;
+      scheme = "mpx";
+      policy = Fleet.Round_robin;
+      workload = Ycsb.D;
+      records = 2370;
+      value_bytes = 2048;
+    }
+  in
+  match Fleet.run cfg with
+  | Error msg ->
+    Alcotest.(check string) "error" "MPX: out of enclave memory while allocating a bounds table"
+      msg
+  | Ok st -> Alcotest.failf "expected a crash, got %s" (Fleet.fingerprint st)
 
 (* ---------- overload sheds at the balancer ---------- *)
 
@@ -236,4 +330,6 @@ let suite =
     Alcotest.test_case "policy parsing roundtrips" `Quick test_policy_parsing;
     Alcotest.test_case "all policies close the accounting" `Quick
       test_policies_all_complete;
+    Alcotest.test_case "golden fingerprints, every policy" `Quick test_golden_fingerprints;
+    Alcotest.test_case "golden error: two instances crash" `Quick test_golden_error;
   ]
