@@ -191,14 +191,19 @@ trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed"' EXIT
 test -s "$collapsed"
 grep -Eq '^[^ ]+ [0-9]+$' "$collapsed"
 
-echo "== CLI smoke: profile --diff sgxbounds:mpx (bounds-table attribution)"
-# MPX's extra cycles over SGXBounds must land on bounds-table sites.
-diff_out=$("$CLI" profile --app memcached --diff sgxbounds:mpx --requests 50 --json)
+echo "== profile --diff sgxbounds:mpx: regenerate, compare to committed"
+# MPX's extra cycles over SGXBounds must land on bounds-table sites, and
+# the committed diff must be exactly what this command prints.
+diff_tmp=$(mktemp /tmp/sgxbounds-profdiff.XXXXXX.json)
+trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$diff_tmp"' EXIT
+"$CLI" profile --app memcached --diff sgxbounds:mpx --requests 50 --json >"$diff_tmp"
 if command -v jq >/dev/null 2>&1; then
-  echo "$diff_out" | jq -e '[.sites[].by_bucket.bounds_table] | add > 0' >/dev/null
+  jq -e '[.sites[].by_bucket.bounds_table] | add > 0' "$diff_tmp" >/dev/null
 else
-  echo "$diff_out" | grep -q '"bounds_table"'
+  grep -q '"bounds_table"' "$diff_tmp"
 fi
+cmp "$diff_tmp" results/profile_diff_memcached.json
+rm -f "$diff_tmp"
 
 echo "== bench score: deterministic perf gate vs committed baseline"
 score_a=$(mktemp /tmp/sgxbounds-score-a.XXXXXX.json)

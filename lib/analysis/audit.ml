@@ -3,15 +3,15 @@
     paper's §4.4 optimizations, which the workload kernels otherwise
     merely assert by hand:
 
-    - every [load_unchecked]/[store_unchecked] must be dominated by a
-      still-valid [check_range] on the same live object whose extent
-      covers the access (and a [Read] check only licenses reads — a
-      [Write] check licenses both directions);
-    - every [safe_load]/[safe_store] must be statically in-bounds for
-      its live object (the "compiler can prove it" claim);
-    - every byte of raw libc traffic ({!Sb_libc.Simlibc} declares it
-      through [Scheme.libc_touch]) must match a preceding [libc_check]
-      of the same buffer, direction and width;
+    - every unchecked access must be dominated by a still-valid range
+      check on the same live object whose extent covers the access (and
+      a [Read] check only licenses reads — a [Write] check licenses both
+      directions);
+    - every "provably safe" access must be statically in-bounds for its
+      live object (the "compiler can prove it" claim);
+    - every byte of raw libc traffic ({!Sb_libc.Simlibc} declares it as
+      a libc touch) must match a preceding libc wrapper check of the
+      same buffer, direction and width;
     - a vector-clock happens-before race detector over {!Sb_mt.Mt}
       fork/join regions flags unsynchronized conflicting accesses to
       application data *and* to scheme metadata — which turns the MPX
@@ -23,21 +23,18 @@
     memory, so audited runs produce bit-identical metrics to unaudited
     ones (pinned by tests). All bookkeeping is host-side.
 
-    Object identity is tracked by address (the scheme interface has no
-    pointer provenance), with objects born at
-    malloc/calloc/realloc/global/stack_alloc and dying at
-    free/realloc/stack_pop; a recorded [check_range] stays valid for the
-    lifetime of its object. One auditor is active per domain at a time
+    Objects and their recorded range checks live in a
+    {!Sb_protection.Live} table (skipping size-0 objects); a recorded
+    check stays valid for the lifetime of its object. One auditor is active per domain at a time
     (it owns the {!Sb_mt.Mt.set_region_tracer} slot). *)
 
 module Memsys = Sb_sgx.Memsys
 module Config = Sb_machine.Config
 module Eff = Sb_machine.Eff
 module Scheme = Sb_protection.Scheme
+module Live = Sb_protection.Live
 module Telemetry = Sb_telemetry.Telemetry
 open Sb_protection.Types
-
-module Imap = Map.Make (Int)
 
 (* Findings use the unified {!Finding} schema shared with the symbolic
    pass; the auditor reports only {!Finding.dynamic_kinds}. *)
@@ -45,15 +42,6 @@ module Imap = Map.Make (Int)
 let kind_name = Finding.kind_name
 let all_kinds = Finding.dynamic_kinds
 let pp_finding = Finding.pp
-
-(* ---------- live objects and their recorded checks ---------- *)
-
-type obj = {
-  o_lo : int;
-  o_hi : int;
-  (* deduplicated [lo, hi, access) extents of live check_range calls *)
-  mutable o_checks : (int * int * access) list;
-}
 
 (* ---------- happens-before shadow cells (FastTrack-style) ---------- *)
 
@@ -84,9 +72,8 @@ type t = {
      of thread j that thread i has synchronized with *)
   vc : int array array;
   mutable region_n : int;          (* threads of the open region; 0 = sequential *)
-  mutable objects : obj Imap.t;    (* keyed by o_lo; live objects only *)
-  mutable frames : (int * int list ref) list;  (* stack frames: token, object bases *)
-  mutable pending : (int * int * access) list; (* libc_check awaiting its touch *)
+  live : Live.t;                   (* live objects and their range checks *)
+  mutable pending : (int * int * access) list; (* libc checks awaiting their touch *)
   mutable findings_rev : Finding.t list;
   mutable n_stored : int;
   mutable total : int;             (* every occurrence, deduplicated or not *)
@@ -136,10 +123,7 @@ let cur_thread t =
 
 (* ---------- object lookup (also locates a finding's referent) ---------- *)
 
-let lookup t addr =
-  match Imap.find_last_opt (fun k -> k <= addr) t.objects with
-  | Some (_, o) when addr < o.o_hi -> Some o
-  | _ -> None
+let lookup t addr = Live.lookup t.live addr
 
 (* ---------- findings ---------- *)
 
@@ -149,7 +133,7 @@ let report t kind ~op ~addr ~width ~detail ~dedup =
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts kind));
   if not (Hashtbl.mem t.seen dedup) then begin
     Hashtbl.replace t.seen dedup ();
-    let obj = match lookup t addr with Some o -> o.o_lo | None -> 0 in
+    let obj = match lookup t addr with Some o -> o.Live.lo | None -> 0 in
     let f =
       { Finding.kind; site = op; addr; obj; extent = width;
         thread = cur_thread t; detail }
@@ -170,14 +154,6 @@ let ops t = t.ops
 let count t kind = Option.value ~default:0 (Hashtbl.find_opt t.counts kind)
 let counts t = List.filter_map (fun k ->
     match count t k with 0 -> None | c -> Some (k, c)) all_kinds
-
-(* ---------- object table ---------- *)
-
-let kill_at t lo = t.objects <- Imap.remove lo t.objects
-
-let meta_write_footer t o =
-  (* the LB footer sits at the object's upper bound *)
-  if t.model = Sgxbounds_footer then `Footer (o.o_hi, 4) else `None
 
 (* ---------- race shadow ---------- *)
 
@@ -248,120 +224,99 @@ let clear_shadow t addr size =
 
 (* ---------- the contract checkers ---------- *)
 
-let on_alloc t addr size =
-  if addr <> 0 && size > 0 then begin
-    let o = { o_lo = addr; o_hi = addr + size; o_checks = [] } in
-    t.objects <- Imap.add addr o t.objects;
-    clear_shadow t addr size;
-    (match meta_write_footer t o with
-     | `Footer (a, w) -> note_access t ~meta:true ~op:"alloc" ~addr:a ~width:w ~access:Write
-     | `None -> ())
-  end
+let on_alloc t (o : Live.obj) =
+  clear_shadow t o.lo (o.hi - o.lo);
+  (* the LB footer sits at the object's upper bound *)
+  if t.model = Sgxbounds_footer then
+    note_access t ~meta:true ~op:"alloc" ~addr:o.hi ~width:4 ~access:Write
 
 (* A checked access under SGXBounds loads the LB footer of its object. *)
 let meta_read_of_check t addr =
   if t.model = Sgxbounds_footer then
     match lookup t addr with
-    | Some o -> note_access t ~meta:true ~op:"check" ~addr:o.o_hi ~width:4 ~access:Read
+    | Some o -> note_access t ~meta:true ~op:"check" ~addr:o.Live.hi ~width:4 ~access:Read
     | None -> ()
 
-let covered o a w access =
-  List.exists
-    (fun (clo, chi, cacc) ->
-       clo <= a && a + w <= chi
-       && (match cacc with Write -> true | Read -> access = Read))
-    o.o_checks
-
 let audit_unchecked t ~op ~addr ~width ~access =
-  enter t;
   (match lookup t addr with
    | None ->
      report t Finding.Unchecked_uncovered ~op ~addr ~width
        ~detail:"no live object contains the access (stale or freed referent)"
        ~dedup:(Printf.sprintf "u:%s:none:0x%x" op (addr asr 12))
    | Some o ->
-     if not (covered o addr width access) then
+     if not (Live.covered o addr (addr + width) access) then
        report t Finding.Unchecked_uncovered ~op ~addr ~width
          ~detail:
            (Printf.sprintf
-              "access [0x%x,0x%x) not covered by any live %s check_range on object [0x%x,0x%x)"
+              "access [0x%x,0x%x) not covered by any live %s %s on object [0x%x,0x%x)"
               addr (addr + width)
               (match access with Read -> "read" | Write -> "write")
-              o.o_lo o.o_hi)
-         ~dedup:(Printf.sprintf "u:%s:0x%x" op o.o_lo));
+              (Scheme.op_name Scheme.Check_range) o.lo o.hi)
+         ~dedup:(Printf.sprintf "u:%s:0x%x" op o.lo));
   note_access t ~meta:false ~op ~addr ~width ~access
 
 let audit_safe t ~op ~addr ~width ~access =
-  enter t;
   (match lookup t addr with
    | None ->
      report t Finding.Safe_oob ~op ~addr ~width
        ~detail:"no live object contains the \"provably safe\" access"
        ~dedup:(Printf.sprintf "s:%s:none:0x%x" op (addr asr 12))
    | Some o ->
-     if addr + width > o.o_hi then
+     if addr + width > o.hi then
        report t Finding.Safe_oob ~op ~addr ~width
          ~detail:
            (Printf.sprintf
               "access [0x%x,0x%x) straddles the end of object [0x%x,0x%x)"
-              addr (addr + width) o.o_lo o.o_hi)
-         ~dedup:(Printf.sprintf "s:%s:0x%x" op o.o_lo));
+              addr (addr + width) o.lo o.hi)
+         ~dedup:(Printf.sprintf "s:%s:0x%x" op o.lo));
   note_access t ~meta:false ~op ~addr ~width ~access
 
 let audit_checked t ~op ~addr ~width ~access =
-  enter t;
   meta_read_of_check t addr;
   note_access t ~meta:false ~op ~addr ~width ~access
 
-let record_check o lo hi access =
-  let e = (lo, hi, access) in
-  if not (List.mem e o.o_checks) then o.o_checks <- e :: o.o_checks
-
-let audit_check_range t ~addr ~len ~access =
-  enter t;
+let audit_range t ~op ~addr ~width:len ~access =
   if len > 0 then begin
     meta_read_of_check t addr;
     match lookup t addr with
     | None ->
-      report t Finding.Check_oob ~op:"check_range" ~addr ~width:len
-        ~detail:"check_range on no live object"
+      report t Finding.Check_oob ~op ~addr ~width:len
+        ~detail:(op ^ " on no live object")
         ~dedup:(Printf.sprintf "c:none:0x%x" (addr asr 12))
     | Some o ->
-      if addr + len > o.o_hi then
-        report t Finding.Check_oob ~op:"check_range" ~addr ~width:len
+      if addr + len > o.hi then
+        report t Finding.Check_oob ~op ~addr ~width:len
           ~detail:
             (Printf.sprintf
                "claimed extent [0x%x,0x%x) exceeds object [0x%x,0x%x)" addr
-               (addr + len) o.o_lo o.o_hi)
-          ~dedup:(Printf.sprintf "c:0x%x" o.o_lo)
-      else record_check o addr (addr + len) access
+               (addr + len) o.lo o.hi)
+          ~dedup:(Printf.sprintf "c:0x%x" o.lo)
+      else Live.add_check o addr (addr + len) access
   end
 
 let pending_cap = 16
 
-let audit_libc_check t ~addr ~len ~access =
-  enter t;
+let audit_libc t ~op ~addr ~width:len ~access =
   if len > 0 then begin
     meta_read_of_check t addr;
     (match lookup t addr with
      | None ->
-       report t Finding.Check_oob ~op:"libc_check" ~addr ~width:len
-         ~detail:"libc_check on no live object"
+       report t Finding.Check_oob ~op ~addr ~width:len
+         ~detail:(op ^ " on no live object")
          ~dedup:(Printf.sprintf "lc:none:0x%x" (addr asr 12))
      | Some o ->
-       if addr + len > o.o_hi then
-         report t Finding.Check_oob ~op:"libc_check" ~addr ~width:len
+       if addr + len > o.hi then
+         report t Finding.Check_oob ~op ~addr ~width:len
            ~detail:
              (Printf.sprintf
                 "wrapper-checked extent [0x%x,0x%x) exceeds object [0x%x,0x%x)"
-                addr (addr + len) o.o_lo o.o_hi)
-           ~dedup:(Printf.sprintf "lc:0x%x" o.o_lo));
+                addr (addr + len) o.lo o.hi)
+           ~dedup:(Printf.sprintf "lc:0x%x" o.lo));
     let p = (addr, len, access) :: t.pending in
     t.pending <- (if List.length p > pending_cap then List.filteri (fun i _ -> i < pending_cap) p else p)
   end
 
-let audit_libc_touch t ~fn ~addr ~len ~access =
-  enter t;
+let audit_touch t ~op:fn ~addr ~width:len ~access =
   if len > 0 then begin
     let rec take acc = function
       | [] -> (None, List.rev acc)
@@ -375,21 +330,54 @@ let audit_libc_touch t ~fn ~addr ~len ~access =
      | None ->
        report t Finding.Libc_unchecked ~op:fn ~addr ~width:len
          ~detail:
-           (Printf.sprintf "raw libc %s of %d byte(s) with no matching libc_check"
+           (Printf.sprintf "raw libc %s of %d byte(s) with no matching %s"
               (match access with Read -> "read" | Write -> "write")
-              len)
+              len (Scheme.op_name Scheme.Libc_check))
          ~dedup:(Printf.sprintf "lu:%s:0x%x" fn (addr asr 12))
      | Some clen when clen <> len ->
        report t Finding.Libc_mismatch ~op:fn ~addr ~width:len
          ~detail:
            (Printf.sprintf
-              "libc_check declared %d byte(s) but the body touches %d" clen len)
+              "%s declared %d byte(s) but the body touches %d"
+              (Scheme.op_name Scheme.Libc_check) clen len)
          ~dedup:(Printf.sprintf "lm:%s" fn)
      | Some _ -> ());
     note_access t ~meta:false ~op:fn ~addr ~width:len ~access
   end
 
 (* ---------- the wrapper ---------- *)
+
+(* What each operation of the audited scheme checks before it runs.
+   Under MPX a pointer-typed access also spills/fills bounds through a
+   bounds-table entry keyed by the pointer slot — a disjoint metadata
+   access that is NOT atomic with the data access (§4.1). *)
+let before t op =
+  let audit =
+    match op with
+    | Scheme.Load | Scheme.Store | Scheme.Load_ptr | Scheme.Store_ptr -> Some audit_checked
+    | Scheme.Safe_load | Scheme.Safe_store -> Some audit_safe
+    | Scheme.Load_unchecked | Scheme.Store_unchecked | Scheme.Load_ptr_unchecked
+    | Scheme.Store_ptr_unchecked -> Some audit_unchecked
+    | Scheme.Check_range -> Some audit_range
+    | Scheme.Libc_check -> Some audit_libc
+    | Scheme.Libc_touch -> Some audit_touch
+    | _ -> None
+  in
+  let bounds_table =
+    t.model = Mpx_bt
+    && (match op with
+        | Scheme.Load_ptr | Scheme.Store_ptr | Scheme.Load_ptr_unchecked
+        | Scheme.Store_ptr_unchecked -> true
+        | _ -> false)
+  in
+  match audit with
+  | Some audit ->
+    Some
+      (fun site p width access ->
+         let addr = Scheme.addr t.inner p in
+         audit t ~op:site ~addr ~width ~access;
+         if bounds_table then note_access t ~meta:true ~op:site ~addr ~width:8 ~access)
+  | None -> None
 
 let unhook () = Sb_mt.Mt.set_region_tracer None
 
@@ -412,8 +400,7 @@ let wrap ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) :
       nthreads;
       vc = Array.init nthreads (fun _ -> Array.make nthreads 0);
       region_n = 0;
-      objects = Imap.empty;
-      frames = [];
+      live = Live.create ~skip_empty:true ();
       pending = [];
       findings_rev = [];
       n_stored = 0;
@@ -426,140 +413,13 @@ let wrap ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) :
     }
   in
   Sb_mt.Mt.set_region_tracer (Some (fun n -> fork t n));
-  let addr_of = inner.Scheme.addr_of in
-  (* MPX spills/fills bounds through a bounds-table entry keyed by the
-     pointer slot — a disjoint metadata access that is NOT atomic with
-     the data access (§4.1). *)
-  let mpx_meta ~op slot access =
-    if t.model = Mpx_bt then
-      note_access t ~meta:true ~op ~addr:slot ~width:8 ~access
-  in
-  let s =
-    {
-      inner with
-      Scheme.malloc =
-        (fun size ->
-           enter t;
-           let p = inner.Scheme.malloc size in
-           on_alloc t (addr_of p) size;
-           p);
-      calloc =
-        (fun n size ->
-           enter t;
-           let p = inner.Scheme.calloc n size in
-           on_alloc t (addr_of p) (n * size);
-           p);
-      realloc =
-        (fun p size ->
-           enter t;
-           let old = addr_of p in
-           let q = inner.Scheme.realloc p size in
-           kill_at t old;
-           on_alloc t (addr_of q) size;
-           q);
-      free =
-        (fun p ->
-           enter t;
-           let a = addr_of p in
-           inner.Scheme.free p;
-           kill_at t a);
-      global =
-        (fun size ->
-           enter t;
-           let p = inner.Scheme.global size in
-           on_alloc t (addr_of p) size;
-           p);
-      stack_push =
-        (fun () ->
-           enter t;
-           let tok = inner.Scheme.stack_push () in
-           t.frames <- (tok, ref []) :: t.frames;
-           tok);
-      stack_alloc =
-        (fun size ->
-           enter t;
-           let p = inner.Scheme.stack_alloc size in
-           let a = addr_of p in
-           on_alloc t a size;
-           (match t.frames with
-            | (_, objs) :: _ -> objs := a :: !objs
-            | [] -> ());
-           p);
-      stack_pop =
-        (fun tok ->
-           enter t;
-           inner.Scheme.stack_pop tok;
-           let rec pop = function
-             | (tk, objs) :: rest ->
-               List.iter (kill_at t) !objs;
-               if tk = tok then rest else pop rest
-             | [] -> []
-           in
-           t.frames <- pop t.frames);
-      load =
-        (fun p width ->
-           audit_checked t ~op:"load" ~addr:(addr_of p) ~width ~access:Read;
-           inner.Scheme.load p width);
-      store =
-        (fun p width v ->
-           audit_checked t ~op:"store" ~addr:(addr_of p) ~width ~access:Write;
-           inner.Scheme.store p width v);
-      safe_load =
-        (fun p width ->
-           audit_safe t ~op:"safe_load" ~addr:(addr_of p) ~width ~access:Read;
-           inner.Scheme.safe_load p width);
-      safe_store =
-        (fun p width v ->
-           audit_safe t ~op:"safe_store" ~addr:(addr_of p) ~width ~access:Write;
-           inner.Scheme.safe_store p width v);
-      check_range =
-        (fun p len access ->
-           audit_check_range t ~addr:(addr_of p) ~len ~access;
-           inner.Scheme.check_range p len access);
-      load_unchecked =
-        (fun p width ->
-           audit_unchecked t ~op:"load_unchecked" ~addr:(addr_of p) ~width
-             ~access:Read;
-           inner.Scheme.load_unchecked p width);
-      store_unchecked =
-        (fun p width v ->
-           audit_unchecked t ~op:"store_unchecked" ~addr:(addr_of p) ~width
-             ~access:Write;
-           inner.Scheme.store_unchecked p width v);
-      load_ptr =
-        (fun p ->
-           let a = addr_of p in
-           audit_checked t ~op:"load_ptr" ~addr:a ~width:8 ~access:Read;
-           mpx_meta ~op:"load_ptr" a Read;
-           inner.Scheme.load_ptr p);
-      store_ptr =
-        (fun p q ->
-           let a = addr_of p in
-           audit_checked t ~op:"store_ptr" ~addr:a ~width:8 ~access:Write;
-           mpx_meta ~op:"store_ptr" a Write;
-           inner.Scheme.store_ptr p q);
-      load_ptr_unchecked =
-        (fun p ->
-           let a = addr_of p in
-           audit_unchecked t ~op:"load_ptr_unchecked" ~addr:a ~width:8
-             ~access:Read;
-           mpx_meta ~op:"load_ptr_unchecked" a Read;
-           inner.Scheme.load_ptr_unchecked p);
-      store_ptr_unchecked =
-        (fun p q ->
-           let a = addr_of p in
-           audit_unchecked t ~op:"store_ptr_unchecked" ~addr:a ~width:8
-             ~access:Write;
-           mpx_meta ~op:"store_ptr_unchecked" a Write;
-           inner.Scheme.store_ptr_unchecked p q);
-      libc_check =
-        (fun p len access ->
-           audit_libc_check t ~addr:(addr_of p) ~len ~access;
-           inner.Scheme.libc_check p len access);
-      libc_touch =
-        (fun fn p len access ->
-           audit_libc_touch t ~fn ~addr:(addr_of p) ~len ~access;
-           inner.Scheme.libc_touch fn p len access);
-    }
-  in
-  (s, t)
+  ( Scheme.intercept
+      {
+        Scheme.no_hooks with
+        live = Some t.live;
+        birth = Some (fun o -> on_alloc t o);
+        enter = (fun _ -> Some (fun () -> enter t));
+        before = before t;
+      }
+      inner,
+    t )

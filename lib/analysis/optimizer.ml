@@ -62,7 +62,7 @@ let run_threshold = 2
 type cand = {
   cd_kind : Optimized.site_kind;
   cd_first : int;  (* op index of the first access *)
-  cd_op : Sitestream.opk;
+  cd_op : Scheme.op;
   cd_base : int;
   cd_stride : int;
   cd_lo : int;
@@ -71,7 +71,7 @@ type cand = {
   cd_accs : (int * int * int) list;  (* (op index, off, width), in order *)
 }
 
-type oacc = { oa_idx : int; oa_op : Sitestream.opk; oa_off : int; oa_width : int }
+type oacc = { oa_idx : int; oa_op : Scheme.op; oa_off : int; oa_width : int }
 
 let cand_of_accs kind (accs : oacc list) =
   let first = List.hd accs in
@@ -90,7 +90,7 @@ let cand_of_accs kind (accs : oacc list) =
     cd_stride = stride;
     cd_lo = lo;
     cd_hi = hi;
-    cd_write = List.exists (fun a -> Sitestream.opk_writes a.oa_op) accs;
+    cd_write = List.exists (fun a -> Sitestream.writes a.oa_op) accs;
     cd_accs = List.map (fun a -> (a.oa_idx, a.oa_off, a.oa_width)) accs;
   }
 
@@ -280,7 +280,7 @@ let verify_plan (plan : Optimized.plan) (t : Sitestream.t) : cert_failure list =
                    (s.Optimized.site_lo, s.Optimized.site_hi, s.Optimized.site_dir)
                    :: checks.(obj)
                | _ -> ());
-              let dir = if Sitestream.opk_writes op then Write else Read in
+              let dir = if Sitestream.writes op then Write else Read in
               if not (covered obj off (off + width) dir) then
                 fail sid "no dominating live check licenses this access"
             end
@@ -349,7 +349,7 @@ let print_plan (p : Optimized.plan) =
           extent=[%d,%d) dir=%s dom=%s@."
          s.Optimized.site_id
          (Optimized.site_kind_name s.Optimized.site_kind)
-         (Sitestream.opk_name s.Optimized.site_op)
+         (Scheme.op_name s.Optimized.site_op)
          s.Optimized.site_obj s.Optimized.site_base s.Optimized.site_stride
          s.Optimized.site_count s.Optimized.site_lo s.Optimized.site_hi
          (match s.Optimized.site_dir with Write -> "w" | Read -> "r")
@@ -476,7 +476,7 @@ let json_of_site (s : Optimized.site) =
       ("id", Json.Int s.Optimized.site_id);
       ("object", Json.Int s.Optimized.site_obj);
       ("kind", Json.Str (Optimized.site_kind_name s.Optimized.site_kind));
-      ("op", Json.Str (Sitestream.opk_name s.Optimized.site_op));
+      ("op", Json.Str (Scheme.op_name s.Optimized.site_op));
       ("base", Json.Int s.Optimized.site_base);
       ("stride", Json.Int s.Optimized.site_stride);
       ("count", Json.Int s.Optimized.site_count);

@@ -22,9 +22,9 @@
     - the handler's interface state machine regresses (an "execute"
       before its "validate" — {!Finding.Phase_disorder}).
 
-    [check_range]/[libc_check] on a region *validate* the symbols in it:
-    that is the handler doing its job, under any scheme. Independently,
-    schemes that check every access by construction (the
+    A range check or libc wrapper check on a region *validates* the
+    symbols in it: that is the handler doing its job, under any scheme.
+    Independently, schemes that check every access by construction (the
     {!guards_accesses} capability table, mirroring
     [Sb_fuzz.Contract.covers]) neutralize the deref/extent classes even
     when the handler forgot — that asymmetry is the Table-4-style
@@ -44,11 +44,13 @@
 module Memsys = Sb_sgx.Memsys
 module Config = Sb_machine.Config
 module Scheme = Sb_protection.Scheme
+module Live = Sb_protection.Live
 module Telemetry = Sb_telemetry.Telemetry
 module Json = Sb_telemetry.Json
 module Harness = Sb_harness.Harness
 module Parallel_runner = Sb_harness.Parallel_runner
 module Handlers = Sb_apps.Handlers
+module Wctx = Sb_workloads.Wctx
 module Trace = Sb_fuzz.Trace
 open Sb_protection.Types
 
@@ -172,7 +174,7 @@ let prov_base t addr =
   | Some lo -> Some lo
   | None ->
     (match Audit.lookup t.audit addr with
-     | Some o -> Some o.Audit.o_lo
+     | Some o -> Some o.Live.lo
      | None -> None)
 
 let referent t addr =
@@ -180,7 +182,7 @@ let referent t addr =
   | None -> None
   | Some lo ->
     (match Audit.lookup t.audit lo with
-     | Some o -> Some (o.Audit.o_lo, o.Audit.o_hi)
+     | Some o -> Some (o.Live.lo, o.Live.hi)
      | None -> None)
 
 (* ---------- taint sources (driver API) ---------- *)
@@ -326,7 +328,7 @@ let post_store t ~addr ~width v =
       for i = 0 to width - 1 do Hashtbl.replace t.tmem (addr + i) vs done
   end
 
-(** A [check_range] validates every symbol it covers: the bytes of the
+(** A range check validates every symbol it covers: the bytes of the
     extent, the pointer's own taint, and the taint of the length value —
     the handler has done its interface-validation duty for them. *)
 let on_check t ~addr ~len =
@@ -336,7 +338,7 @@ let on_check t ~addr ~len =
     validate_syms t (val_syms t len)
   end
 
-let on_libc_check t ~addr ~len =
+let on_libc t ~addr ~len =
   if active t && len > 0 then begin
     let name = Audit.scheme_name t.audit in
     if guards_libc name then begin
@@ -354,7 +356,7 @@ let on_libc_check t ~addr ~len =
       in
       if (not (Iset.is_empty ps)) || (oob && (len_tainted || t.unvalidated_live > 0))
       then
-        report t Finding.Tainted_libc ~site:"libc_check" ~addr
+        report t Finding.Tainted_libc ~site:(Scheme.op_name Scheme.Libc_check) ~addr
           ~obj:(Option.value ~default:0 (prov_base t addr))
           ~extent:len
           ~detail:
@@ -365,6 +367,75 @@ let on_libc_check t ~addr ~len =
                     (Option.value ~default:addr (prov_base t addr)))
     end
   end
+
+(* ---------- the hooks ---------- *)
+
+let family = function
+  | Scheme.Load | Scheme.Store | Scheme.Load_ptr | Scheme.Store_ptr -> Some Fam_checked
+  | Scheme.Safe_load | Scheme.Safe_store -> Some Fam_safe
+  | Scheme.Load_unchecked | Scheme.Store_unchecked | Scheme.Load_ptr_unchecked
+  | Scheme.Store_ptr_unchecked -> Some Fam_unchecked
+  | _ -> None
+
+(* Before an access the verdict of {!pre_access}; before a libc check
+   the wrapper's (in)capability decides, not whether the inner call
+   survives to return. Every hook is a no-op until taint is planted. *)
+let before t (s : Scheme.t) op =
+  match family op with
+  | Some family ->
+    Some
+      (fun site p width _ ->
+         if active t then pre_access t ~family ~site ~addr:(Scheme.addr s p) ~width)
+  | None when op = Scheme.Libc_check ->
+    Some (fun _ p len _ -> if active t then on_libc t ~addr:(Scheme.addr s p) ~len)
+  | None -> None
+
+(* After an int access: a double fetch havocs the loaded value, which
+   carries its bytes' taint; a store moves taint. A range check
+   validates what it covers. *)
+let after t (s : Scheme.t) op =
+  match op with
+  | Scheme.Load | Scheme.Safe_load | Scheme.Load_unchecked ->
+    let site = Scheme.op_name op in
+    Some
+      (fun p width v ->
+         if active t then post_read t ~site ~addr:(Scheme.addr s p) ~width v else v)
+  | Scheme.Store | Scheme.Safe_store | Scheme.Store_unchecked ->
+    Some
+      (fun p width v ->
+         if active t then post_store t ~addr:(Scheme.addr s p) ~width v;
+         v)
+  | Scheme.Check_range ->
+    Some
+      (fun p len v ->
+         if active t then on_check t ~addr:(Scheme.addr s p) ~len;
+         v)
+  | _ -> None
+
+(* After a pointer-typed access or [offset]: a loaded pointer carries
+   the taint of the bytes it came from, a derived pointer that of its
+   base and offset (and the base's provenance). *)
+let after_ptr t (s : Scheme.t) op =
+  let carry aq syms =
+    if not (Iset.is_empty syms) then
+      Hashtbl.replace t.tptr aq (Iset.union syms (ptr_syms t aq))
+  in
+  match op with
+  | Scheme.Offset ->
+    Some
+      (fun p d q ->
+         if active t then begin
+           let a = Scheme.addr s p and aq = Scheme.addr s q in
+           carry aq (Iset.union (ptr_syms t a) (val_syms t d));
+           Option.iter (Hashtbl.replace t.prov aq) (prov_base t a)
+         end)
+  | Scheme.Load_ptr | Scheme.Load_ptr_unchecked ->
+    Some
+      (fun p _ q ->
+         if active t then carry (Scheme.addr s q) (mem_syms t (Scheme.addr s p) 8))
+  | Scheme.Store_ptr | Scheme.Store_ptr_unchecked ->
+    Some (fun p _ _ -> if active t then post_store t ~addr:(Scheme.addr s p) ~width:8 0)
+  | _ -> None
 
 (* ---------- the wrapper ---------- *)
 
@@ -402,112 +473,15 @@ let wrap ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) :
       counts = Hashtbl.create 8;
     }
   in
-  let addr_of = audited.Scheme.addr_of in
-  let s =
-    {
-      audited with
-      Scheme.offset =
-        (fun p d ->
-           let q = audited.Scheme.offset p d in
-           if active t then begin
-             let ap = addr_of p and aq = addr_of q in
-             let syms = Iset.union (ptr_syms t ap) (val_syms t d) in
-             if not (Iset.is_empty syms) then
-               Hashtbl.replace t.tptr aq (Iset.union syms (ptr_syms t aq));
-             match prov_base t ap with
-             | Some lo -> Hashtbl.replace t.prov aq lo
-             | None -> ()
-           end;
-           q);
-      load =
-        (fun p width ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_checked ~site:"load" ~addr:a ~width;
-           let v = audited.Scheme.load p width in
-           post_read t ~site:"load" ~addr:a ~width v);
-      store =
-        (fun p width v ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_checked ~site:"store" ~addr:a ~width;
-           audited.Scheme.store p width v;
-           post_store t ~addr:a ~width v);
-      safe_load =
-        (fun p width ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_safe ~site:"safe_load" ~addr:a ~width;
-           let v = audited.Scheme.safe_load p width in
-           post_read t ~site:"safe_load" ~addr:a ~width v);
-      safe_store =
-        (fun p width v ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_safe ~site:"safe_store" ~addr:a ~width;
-           audited.Scheme.safe_store p width v;
-           post_store t ~addr:a ~width v);
-      load_unchecked =
-        (fun p width ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_unchecked ~site:"load_unchecked" ~addr:a
-             ~width;
-           let v = audited.Scheme.load_unchecked p width in
-           post_read t ~site:"load_unchecked" ~addr:a ~width v);
-      store_unchecked =
-        (fun p width v ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_unchecked ~site:"store_unchecked" ~addr:a
-             ~width;
-           audited.Scheme.store_unchecked p width v;
-           post_store t ~addr:a ~width v);
-      load_ptr =
-        (fun p ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_checked ~site:"load_ptr" ~addr:a ~width:8;
-           let q = audited.Scheme.load_ptr p in
-           if active t then begin
-             let syms = mem_syms t a 8 in
-             if not (Iset.is_empty syms) then
-               Hashtbl.replace t.tptr (addr_of q)
-                 (Iset.union syms (ptr_syms t (addr_of q)))
-           end;
-           q);
-      store_ptr =
-        (fun p q ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_checked ~site:"store_ptr" ~addr:a ~width:8;
-           audited.Scheme.store_ptr p q;
-           post_store t ~addr:a ~width:8 0);
-      load_ptr_unchecked =
-        (fun p ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_unchecked ~site:"load_ptr_unchecked"
-             ~addr:a ~width:8;
-           let q = audited.Scheme.load_ptr_unchecked p in
-           if active t then begin
-             let syms = mem_syms t a 8 in
-             if not (Iset.is_empty syms) then
-               Hashtbl.replace t.tptr (addr_of q)
-                 (Iset.union syms (ptr_syms t (addr_of q)))
-           end;
-           q);
-      store_ptr_unchecked =
-        (fun p q ->
-           let a = addr_of p in
-           pre_access t ~family:Fam_unchecked ~site:"store_ptr_unchecked"
-             ~addr:a ~width:8;
-           audited.Scheme.store_ptr_unchecked p q;
-           post_store t ~addr:a ~width:8 0);
-      check_range =
-        (fun p len access ->
-           audited.Scheme.check_range p len access;
-           on_check t ~addr:(addr_of p) ~len);
-      libc_check =
-        (fun p len access ->
-           (* verdict first: the wrapper's (in)capability decides, not
-              whether the inner call survives to return *)
-           on_libc_check t ~addr:(addr_of p) ~len;
-           audited.Scheme.libc_check p len access);
-    }
-  in
-  (s, t)
+  ( Scheme.intercept
+      {
+        Scheme.no_hooks with
+        before = before t audited;
+        after = after t audited;
+        after_ptr = after_ptr t audited;
+      }
+      audited,
+    t )
 
 (* ---------- accessors ---------- *)
 
@@ -559,12 +533,13 @@ let run_variant ?(scheme = "native") (v : Handlers.variant) : corpus_cell =
   let s0 = Harness.maker scheme ms in
   let s, t = wrap ~track_races:false s0 in
   Fun.protect ~finally:unhook @@ fun () ->
-  let req = s.Scheme.malloc 1024 in
-  let resp = s.Scheme.malloc 1024 in
-  let canary = s.Scheme.malloc 64 in
-  let ca = s.Scheme.addr_of canary in
+  let ctx = Wctx.make s in
+  let req = Wctx.array ctx 1024 1 in
+  let resp = Wctx.array ctx 1024 1 in
+  let canary = Wctx.array ctx 64 1 in
+  let ca = Scheme.addr s canary in
   Memsys.fill ms ~addr:ca ~len:64 ~byte:0x5A;
-  let ra = s.Scheme.addr_of req in
+  let ra = Scheme.addr s req in
   Memsys.fill ms ~addr:ra ~len:req_image_len ~byte:0x41;
   taint_region t ~addr:ra ~len:req_image_len ~label:(v.Handlers.v_name ^ ".req");
   List.iter

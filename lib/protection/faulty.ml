@@ -25,18 +25,13 @@ let fault_names = [ "elide-checks"; "deaf-libc" ]
     keeps its own deterministic counter, so the same trace replayed
     twice (or under both engines) elides the same accesses. *)
 let inject fault (s : Scheme.t) : Scheme.t =
-  match fault with
-  | Elide_every_nth n ->
-    let k = ref 0 in
-    {
-      s with
-      load =
-        (fun p w ->
-           incr k;
-           if !k mod n = 0 then s.load_unchecked p w else s.load p w);
-      store =
-        (fun p w v ->
-           incr k;
-           if !k mod n = 0 then s.store_unchecked p w v else s.store p w v);
-    }
-  | Deaf_libc -> { s with libc_check = (fun _ _ _ -> ()) }
+  let elide =
+    match fault with
+    | Elide_every_nth n ->
+      let k = ref 0 in
+      (function
+        | Scheme.Load | Scheme.Store -> Some (fun _ _ -> incr k; !k mod n = 0)
+        | _ -> None)
+    | Deaf_libc -> fun op -> if op = Scheme.Libc_check then Some (fun _ _ -> true) else None
+  in
+  Scheme.intercept { Scheme.no_hooks with elide } s

@@ -3,7 +3,7 @@
     [wrap plan inner] consults an elision plan at runtime: checked-family
     accesses whose op-stream index carries an [Elide] certificate are
     routed through the inner scheme's [*_unchecked] accessors; a [Hoist]
-    certificate first charges a one-time widened [check_range] covering
+    certificate first charges a one-time widened range check covering
     the site's certified extent, then elides like the rest of its site.
 
     The plan is {e untrusted input}. Every elision is re-verified
@@ -12,7 +12,7 @@
     - the access must resolve to the certificate's object (same birth
       index, so a stale certificate never transfers to a reallocation
       reusing the address);
-    - a live check on that object — a [check_range] the workload issued,
+    - a live check on that object — a range check the workload issued,
       or a hoisted check this layer inserted — must cover the accessed
       bytes and license the direction (a [Write] check licenses both
       directions, a [Read] check only reads: the same dominating-check
@@ -32,7 +32,6 @@
     paper's point about per-object bounds in the pointer). *)
 
 open Types
-module Imap = Map.Make (Int)
 
 type action = Pass | Elide of int | Hoist of int
 
@@ -44,12 +43,12 @@ let site_kind_name = function Run -> "run" | Span -> "span"
     index), affine facts, certified extent (object-relative, half-open)
     and the dominating check it elides against ([site_dom = site_id]:
     the site hoists its own widened check; [site_dom = -1]: dominated by
-    a [check_range] the workload itself issues before the site). *)
+    a range check the workload itself issues before the site). *)
 type site = {
   site_id : int;
   site_obj : int;
   site_kind : site_kind;
-  site_op : Sitestream.opk;
+  site_op : Scheme.op;
   site_base : int;      (** object-relative offset of the first access *)
   site_stride : int;    (** 0 for [Span] sites *)
   site_count : int;     (** dynamic accesses certified *)
@@ -79,174 +78,64 @@ type stats = {
   mutable passes : int;     (** ops with no certificate *)
 }
 
-(* Live runtime state: an object table keyed by base address (birth
-   indices mirror the recorder's, because allocation order is part of
-   the deterministic stream) and per-object live checks. *)
-type rt = {
-  mutable objects : (int * int) Imap.t;  (* base -> (hi, birth id) *)
-  mutable births : int;
-  mutable frames : int list list;
-  checks : (int, (int * int * access) list ref) Hashtbl.t;
-  mutable ops : int;
-}
-
-let rt_lookup rt a =
-  match Imap.find_last_opt (fun b -> b <= a) rt.objects with
-  | Some (base, (hi, id)) when a < hi -> Some (base, hi, id)
-  | _ -> None
-
-let rt_add_check rt id lo hi dir =
-  match Hashtbl.find_opt rt.checks id with
-  | Some l -> l := (lo, hi, dir) :: !l
-  | None -> Hashtbl.replace rt.checks id (ref [ (lo, hi, dir) ])
-
-let rt_covered rt id lo hi access =
-  match Hashtbl.find_opt rt.checks id with
-  | None -> false
-  | Some l ->
-    List.exists
-      (fun (clo, chi, cdir) -> clo <= lo && hi <= chi && (cdir = Write || access = Read))
-      !l
-
 let wrap (plan : plan) (inner : Scheme.t) : Scheme.t * stats =
-  let rt =
-    { objects = Imap.empty; births = 0; frames = []; checks = Hashtbl.create 64; ops = 0 }
-  in
+  (* Birth indices mirror the recorder's: allocation order is part of
+     the deterministic stream. *)
+  let live = Live.create () in
   let st = { hoists = 0; elides = 0; fallbacks = 0; passes = 0 } in
-  let register base size =
-    rt.objects <- Imap.add base (base + size, rt.births) rt.objects;
-    rt.births <- rt.births + 1
-  in
-  let kill base =
-    match Imap.find_opt base rt.objects with
-    | Some (_, id) ->
-      rt.objects <- Imap.remove base rt.objects;
-      Hashtbl.remove rt.checks id
-    | None -> ()
-  in
-  (* The guarded access path: consult the plan at this op index, verify
-     the certificate, and pick the unchecked or checked continuation. *)
-  let guarded op p width ~checked ~unchecked =
-    let k = rt.ops in
-    rt.ops <- k + 1;
+  let ops = ref 0 in
+  (* The guarded access path: consult the plan at this op index and
+     verify the certificate against live state. *)
+  let guarded op p width =
+    let k = !ops in
+    ops := k + 1;
     let action = if k < Array.length plan.p_actions then plan.p_actions.(k) else Pass in
     match action with
     | Pass ->
       st.passes <- st.passes + 1;
-      checked ()
+      false
     | (Elide sid | Hoist sid) as act ->
-      let fallback () =
-        st.fallbacks <- st.fallbacks + 1;
-        checked ()
-      in
-      if sid < 0 || sid >= Array.length plan.p_sites || p.bnd <> None then fallback ()
-      else begin
+      let verified =
+        sid >= 0 && sid < Array.length plan.p_sites && p.bnd = None
+        &&
         let s = plan.p_sites.(sid) in
-        let a = inner.Scheme.addr_of p in
-        match rt_lookup rt a with
-        | Some (base, hi, id) when id = s.site_obj ->
-          let off = a - base in
+        let a = Scheme.addr inner p in
+        match Live.lookup live a with
+        | Some o when o.id = s.site_obj ->
           (match act with
-           | Hoist _ when s.site_lo >= 0 && s.site_lo < s.site_hi && base + s.site_hi <= hi ->
+           | Hoist _ when s.site_lo >= 0 && s.site_lo < s.site_hi && o.lo + s.site_hi <= o.hi ->
              (* the one-time widened check, charged through the scheme *)
-             inner.Scheme.check_range
-               (inner.Scheme.offset p (s.site_lo - off))
-               (s.site_hi - s.site_lo) s.site_dir;
+             Scheme.check_at inner p (o.lo + s.site_lo - a) (s.site_hi - s.site_lo) s.site_dir;
              st.hoists <- st.hoists + 1;
-             rt_add_check rt id s.site_lo s.site_hi s.site_dir
+             Live.add_check o (o.lo + s.site_lo) (o.lo + s.site_hi) s.site_dir
            | _ -> ());
-          let dir = if Sitestream.opk_writes op then Write else Read in
-          if rt_covered rt id off (off + width) dir then begin
-            st.elides <- st.elides + 1;
-            unchecked ()
-          end
-          else fallback ()
-        | _ -> fallback ()
-      end
+          Live.covered o a (a + width) (if Sitestream.writes op then Write else Read)
+        | _ -> false
+      in
+      if verified then st.elides <- st.elides + 1 else st.fallbacks <- st.fallbacks + 1;
+      verified
   in
-  let s =
-    {
-      inner with
-      Scheme.malloc =
-        (fun size ->
-           let p = inner.Scheme.malloc size in
-           register (inner.Scheme.addr_of p) size;
-           p);
-      calloc =
-        (fun n size ->
-           let p = inner.Scheme.calloc n size in
-           register (inner.Scheme.addr_of p) (n * size);
-           p);
-      realloc =
-        (fun p size ->
-           let old = inner.Scheme.addr_of p in
-           let q = inner.Scheme.realloc p size in
-           kill old;
-           register (inner.Scheme.addr_of q) size;
-           q);
-      free =
-        (fun p ->
-           kill (inner.Scheme.addr_of p);
-           inner.Scheme.free p);
-      global =
-        (fun size ->
-           let p = inner.Scheme.global size in
-           register (inner.Scheme.addr_of p) size;
-           p);
-      stack_push =
-        (fun () ->
-           rt.frames <- [] :: rt.frames;
-           inner.Scheme.stack_push ());
-      stack_alloc =
-        (fun size ->
-           let p = inner.Scheme.stack_alloc size in
-           let a = inner.Scheme.addr_of p in
-           register a size;
-           (match rt.frames with
-            | f :: rest -> rt.frames <- (a :: f) :: rest
-            | [] -> ());
-           p);
-      stack_pop =
-        (fun tok ->
-           (match rt.frames with
-            | f :: rest ->
-              List.iter kill f;
-              rt.frames <- rest
-            | [] -> ());
-           inner.Scheme.stack_pop tok);
-      load =
-        (fun p width ->
-           guarded Sitestream.Oload p width
-             ~checked:(fun () -> inner.Scheme.load p width)
-             ~unchecked:(fun () -> inner.Scheme.load_unchecked p width));
-      store =
-        (fun p width v ->
-           guarded Sitestream.Ostore p width
-             ~checked:(fun () -> inner.Scheme.store p width v)
-             ~unchecked:(fun () -> inner.Scheme.store_unchecked p width v));
-      load_ptr =
-        (fun p ->
-           guarded Sitestream.Oload_ptr p 8
-             ~checked:(fun () -> inner.Scheme.load_ptr p)
-             ~unchecked:(fun () -> inner.Scheme.load_ptr_unchecked p));
-      store_ptr =
-        (fun p q ->
-           guarded Sitestream.Ostore_ptr p 8
-             ~checked:(fun () -> inner.Scheme.store_ptr p q)
-             ~unchecked:(fun () -> inner.Scheme.store_ptr_unchecked p q));
-      check_range =
-        (fun p len dir ->
-           (* Workload-issued checks dominate plan sites: remember the
-              ones that are provably within their live object (the only
-              ones the analyzer may certify against). *)
-           (if len > 0 && p.bnd = None then
-              match rt_lookup rt (inner.Scheme.addr_of p) with
-              | Some (base, hi, id) ->
-                let off = inner.Scheme.addr_of p - base in
-                if off >= 0 && base + off + len <= hi then
-                  rt_add_check rt id off (off + len) dir
-              | None -> ());
-           inner.Scheme.check_range p len dir);
-    }
+  (* Workload-issued checks dominate plan sites: remember the ones that
+     are provably within their live object (the only ones the analyzer
+     may certify against). *)
+  let workload_check _ p len dir =
+    if len > 0 && p.bnd = None then begin
+      let a = Scheme.addr inner p in
+      match Live.lookup live a with
+      | Some o when a + len <= o.hi -> Live.add_check o a (a + len) dir
+      | _ -> ()
+    end
   in
-  (s, st)
+  ( Scheme.intercept
+      {
+        Scheme.no_hooks with
+        live = Some live;
+        before = (fun op -> if op = Scheme.Check_range then Some workload_check else None);
+        elide =
+          (function
+            | (Scheme.Load | Scheme.Store | Scheme.Load_ptr | Scheme.Store_ptr) as op ->
+              Some (fun p width -> guarded op p width)
+            | _ -> None);
+      }
+      inner,
+    st )

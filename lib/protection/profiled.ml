@@ -12,88 +12,30 @@
 
 module Profile = Sb_telemetry.Profile
 
-type sites = {
-  p : Profile.t;
-  s_malloc : int;
-  s_calloc : int;
-  s_realloc : int;
-  s_free : int;
-  s_global : int;
-  s_stack_alloc : int;
-  s_load : int;
-  s_store : int;
-  s_safe_load : int;
-  s_safe_store : int;
-  s_check_range : int;
-  s_load_unchecked : int;
-  s_store_unchecked : int;
-  s_load_ptr : int;
-  s_store_ptr : int;
-  s_load_ptr_unchecked : int;
-  s_store_ptr_unchecked : int;
-  s_libc_check : int;
-  s_libc_touch : int;
-}
-
-let sites p =
-  let i n = Profile.intern p ("op:" ^ n) in
-  {
-    p;
-    s_malloc = i "malloc";
-    s_calloc = i "calloc";
-    s_realloc = i "realloc";
-    s_free = i "free";
-    s_global = i "global";
-    s_stack_alloc = i "stack_alloc";
-    s_load = i "load";
-    s_store = i "store";
-    s_safe_load = i "safe_load";
-    s_safe_store = i "safe_store";
-    s_check_range = i "check_range";
-    s_load_unchecked = i "load_unchecked";
-    s_store_unchecked = i "store_unchecked";
-    s_load_ptr = i "load_ptr";
-    s_store_ptr = i "store_ptr";
-    s_load_ptr_unchecked = i "load_ptr_unchecked";
-    s_store_ptr_unchecked = i "store_ptr_unchecked";
-    s_libc_check = i "libc_check";
-    s_libc_touch = i "libc_touch";
-  }
-
-(* Arity-specialized brackets: [Profile.with_site] closes the site even
-   on a fault (schemes raise on violations), and these avoid allocating
-   an intermediate closure per call for the common arities. *)
-let w1 p site f a = Profile.with_site p site (fun () -> f a)
-let w2 p site f a b = Profile.with_site p site (fun () -> f a b)
-let w3 p site f a b c = Profile.with_site p site (fun () -> f a b c)
-let w4 p site f a b c d = Profile.with_site p site (fun () -> f a b c d)
-
 (** [wrap prof s]: a scheme equal to [s] with every record operation
-    bracketed in its "op:<name>" site of [prof]. [prof] must already be
-    attached to [s]'s machine for the charges to arrive
+    bracketed in its "op:<name>" site of [prof], except opening and
+    closing a stack frame and pointer arithmetic. [prof] must already
+    be attached to [s]'s machine for the charges to arrive
     ({!Sb_sgx.Memsys.attach_profiler}). *)
 let wrap prof (s : Scheme.t) =
-  let z = sites prof in
-  let p = z.p in
-  {
-    s with
-    Scheme.malloc = w1 p z.s_malloc s.Scheme.malloc;
-    calloc = w2 p z.s_calloc s.Scheme.calloc;
-    realloc = w2 p z.s_realloc s.Scheme.realloc;
-    free = w1 p z.s_free s.Scheme.free;
-    global = w1 p z.s_global s.Scheme.global;
-    stack_alloc = w1 p z.s_stack_alloc s.Scheme.stack_alloc;
-    load = w2 p z.s_load s.Scheme.load;
-    store = w3 p z.s_store s.Scheme.store;
-    safe_load = w2 p z.s_safe_load s.Scheme.safe_load;
-    safe_store = w3 p z.s_safe_store s.Scheme.safe_store;
-    check_range = w3 p z.s_check_range s.Scheme.check_range;
-    load_unchecked = w2 p z.s_load_unchecked s.Scheme.load_unchecked;
-    store_unchecked = w3 p z.s_store_unchecked s.Scheme.store_unchecked;
-    load_ptr = w1 p z.s_load_ptr s.Scheme.load_ptr;
-    store_ptr = w2 p z.s_store_ptr s.Scheme.store_ptr;
-    load_ptr_unchecked = w1 p z.s_load_ptr_unchecked s.Scheme.load_ptr_unchecked;
-    store_ptr_unchecked = w2 p z.s_store_ptr_unchecked s.Scheme.store_ptr_unchecked;
-    libc_check = w3 p z.s_libc_check s.Scheme.libc_check;
-    libc_touch = w4 p z.s_libc_touch s.Scheme.libc_touch;
-  }
+  (* Site ids order the profile's rows; interning the last op first
+     keeps the row order every committed profile was made with. *)
+  let sites =
+    List.filter_map
+      (function
+        | Scheme.Stack_push | Scheme.Stack_pop | Scheme.Offset | Scheme.Addr_of -> None
+        | op -> Some (op, Profile.intern prof ("op:" ^ Scheme.op_name op)))
+      (List.rev Scheme.ops)
+  in
+  Scheme.intercept
+    {
+      Scheme.no_hooks with
+      enter =
+        (fun op ->
+           match List.assoc_opt op sites with
+           | Some id -> Some (fun () -> Profile.enter prof id)
+           | None -> None);
+      leave =
+        (fun op -> if List.mem_assoc op sites then Some (fun () -> Profile.exit prof) else None);
+    }
+    s

@@ -3,8 +3,8 @@
     Our schemes are closures, not compiled code, so "static site" cannot
     mean a program counter. Instead, a checked-family access is
     identified by its {e position in the deterministic operation
-    stream}: the [k]-th [load]/[store]/[load_ptr]/[store_ptr] a workload
-    issues. Workloads are deterministic and the stream is a
+    stream}: the [k]-th checked load or store, of data or of a pointer,
+    a workload issues. Workloads are deterministic and the stream is a
     workload-level property (engines only change memory-system
     internals), so the same index names the same access in the recording
     run, in the optimized run, under every engine, and under any
@@ -15,52 +15,39 @@
     a recorded run is bit-identical to an unwrapped one. It logs, per
     event: object births (with size) and deaths, every checked-family
     access (op kind, referent object by birth index, object-relative
-    offset, width, clocked by the op counter), and every [check_range] a
+    offset, width, clocked by the op counter), and every range check a
     workload issues (the dominating checks the optimizer may elide
     against). Accesses through narrowed pointers ([p.bnd <> None]) are
     recorded referent-less: intra-object bounds are deliberately outside
     the optimizer's certificate language. *)
 
 open Types
-module Imap = Map.Make (Int)
 
-type opk = Oload | Ostore | Oload_ptr | Ostore_ptr
-
-let opk_name = function
-  | Oload -> "load"
-  | Ostore -> "store"
-  | Oload_ptr -> "load_ptr"
-  | Ostore_ptr -> "store_ptr"
-
-let opk_writes = function Ostore | Ostore_ptr -> true | Oload | Oload_ptr -> false
+(** Whether a clocked op ([Load], [Store], [Load_ptr], [Store_ptr])
+    writes. *)
+let writes = function Scheme.Store | Scheme.Store_ptr -> true | _ -> false
 
 type event =
   | Alloc of { obj : int; size : int }
   | Dead of { obj : int }
-  | Acc of { idx : int; op : opk; obj : int; off : int; width : int }
+  | Acc of { idx : int; op : Scheme.op; obj : int; off : int; width : int }
       (** [idx] is the op-stream clock; [obj = -1]: no (single) referent *)
   | Chk of { idx : int; obj : int; off : int; len : int; dir : access }
-      (** a workload [check_range]; [idx] is the clock value it becomes
+      (** a workload range check; [idx] is the clock value it becomes
           live at (the next access index) *)
 
 type t = {
   mutable rev_events : event list;
   mutable nevents : int;
-  mutable objects : (int * int) Imap.t;  (** base -> (hi, birth index) *)
-  mutable births : int;
-  mutable ops : int;                     (** checked-family op counter *)
-  mutable frames : int list list;        (** stack-frame alloc bases *)
+  live : Live.t;
+  mutable ops : int;  (** checked-family op counter *)
   cap : int;
   mutable truncated : bool;
 }
 
-let create ?(cap = 4_000_000) () =
-  { rev_events = []; nevents = 0; objects = Imap.empty; births = 0; ops = 0;
-    frames = []; cap; truncated = false }
-
 let events t = Array.of_list (List.rev t.rev_events)
 let ops t = t.ops
-let births t = t.births
+let births t = Live.births t.live
 let truncated t = t.truncated
 
 let emit t e =
@@ -70,114 +57,41 @@ let emit t e =
   end
   else t.truncated <- true
 
-let register t base size =
-  let id = t.births in
-  t.births <- id + 1;
-  t.objects <- Imap.add base (base + size, id) t.objects;
-  emit t (Alloc { obj = id; size })
-
-let kill t base =
-  match Imap.find_opt base t.objects with
-  | Some (_, id) ->
-    t.objects <- Imap.remove base t.objects;
-    emit t (Dead { obj = id })
-  | None -> ()
-
-let lookup t a =
-  match Imap.find_last_opt (fun b -> b <= a) t.objects with
-  | Some (base, (hi, id)) when a < hi -> Some (base, id)
-  | _ -> None
+(* The referent of an access: narrowed pointers have none. *)
+let referent t (inner : Scheme.t) p =
+  if p.bnd <> None then None else Live.lookup t.live (Scheme.addr inner p)
 
 (** Record one checked-family access and advance the op clock. *)
-let acc t (inner : Scheme.t) op p width =
+let acc t inner op p width =
   let idx = t.ops in
   t.ops <- idx + 1;
-  let referent = if p.bnd <> None then None else lookup t (inner.Scheme.addr_of p) in
-  match referent with
-  | Some (base, id) ->
-    emit t (Acc { idx; op; obj = id; off = inner.Scheme.addr_of p - base; width })
+  match referent t inner p with
+  | Some o -> emit t (Acc { idx; op; obj = o.id; off = Scheme.addr inner p - o.lo; width })
   | None -> emit t (Acc { idx; op; obj = -1; off = 0; width })
 
-let chk t (inner : Scheme.t) p len dir =
-  if p.bnd = None then begin
-    match lookup t (inner.Scheme.addr_of p) with
-    | Some (base, id) ->
-      emit t (Chk { idx = t.ops; obj = id; off = inner.Scheme.addr_of p - base; len; dir })
-    | None -> ()
-  end
+let chk t inner p len dir =
+  match referent t inner p with
+  | Some o -> emit t (Chk { idx = t.ops; obj = o.id; off = Scheme.addr inner p - o.lo; len; dir })
+  | None -> ()
 
-let wrap ?cap (inner : Scheme.t) : Scheme.t * t =
-  let t = create ?cap () in
-  let s =
-    {
-      inner with
-      Scheme.malloc =
-        (fun size ->
-           let p = inner.Scheme.malloc size in
-           register t (inner.Scheme.addr_of p) size;
-           p);
-      calloc =
-        (fun n size ->
-           let p = inner.Scheme.calloc n size in
-           register t (inner.Scheme.addr_of p) (n * size);
-           p);
-      realloc =
-        (fun p size ->
-           let old = inner.Scheme.addr_of p in
-           let q = inner.Scheme.realloc p size in
-           kill t old;
-           register t (inner.Scheme.addr_of q) size;
-           q);
-      free =
-        (fun p ->
-           kill t (inner.Scheme.addr_of p);
-           inner.Scheme.free p);
-      global =
-        (fun size ->
-           let p = inner.Scheme.global size in
-           register t (inner.Scheme.addr_of p) size;
-           p);
-      stack_push =
-        (fun () ->
-           t.frames <- [] :: t.frames;
-           inner.Scheme.stack_push ());
-      stack_alloc =
-        (fun size ->
-           let p = inner.Scheme.stack_alloc size in
-           let a = inner.Scheme.addr_of p in
-           register t a size;
-           (match t.frames with
-            | f :: rest -> t.frames <- (a :: f) :: rest
-            | [] -> ());
-           p);
-      stack_pop =
-        (fun tok ->
-           (match t.frames with
-            | f :: rest ->
-              List.iter (kill t) f;
-              t.frames <- rest
-            | [] -> ());
-           inner.Scheme.stack_pop tok);
-      load =
-        (fun p width ->
-           acc t inner Oload p width;
-           inner.Scheme.load p width);
-      store =
-        (fun p width v ->
-           acc t inner Ostore p width;
-           inner.Scheme.store p width v);
-      load_ptr =
-        (fun p ->
-           acc t inner Oload_ptr p 8;
-           inner.Scheme.load_ptr p);
-      store_ptr =
-        (fun p q ->
-           acc t inner Ostore_ptr p 8;
-           inner.Scheme.store_ptr p q);
-      check_range =
-        (fun p len dir ->
-           chk t inner p len dir;
-           inner.Scheme.check_range p len dir);
-    }
+let wrap ?(cap = 4_000_000) (inner : Scheme.t) : Scheme.t * t =
+  let t =
+    { rev_events = []; nevents = 0; live = Live.create (); ops = 0; cap; truncated = false }
   in
-  (s, t)
+  let before op =
+    match op with
+    | Scheme.Load | Scheme.Store | Scheme.Load_ptr | Scheme.Store_ptr ->
+      Some (fun _ p width _ -> acc t inner op p width)
+    | Scheme.Check_range -> Some (fun _ p len dir -> chk t inner p len dir)
+    | _ -> None
+  in
+  ( Scheme.intercept
+      {
+        Scheme.no_hooks with
+        live = Some t.live;
+        birth = Some (fun o -> emit t (Alloc { obj = o.id; size = o.hi - o.lo }));
+        death = Some (fun o -> emit t (Dead { obj = o.id }));
+        before;
+      }
+      inner,
+    t )
