@@ -1227,8 +1227,21 @@ let score () =
                 /. float_of_int (max 1 v.Score.v_old))
                (if v.Score.v_regressed then "REGRESSED"
                 else if v.Score.v_improved then "IMPROVED (baseline stale)"
-                else "ok"))
+                else "ok");
+             List.iter
+               (fun (f, old, now) ->
+                  Fmt.pr "    %s %s -> %d  DRIFTED@." f
+                    (match old with Some o -> string_of_int o | None -> "missing")
+                    now)
+               v.Score.v_drift)
           verdicts;
+        if List.exists (fun v -> v.Score.v_drift <> []) verdicts then begin
+          Fmt.epr
+            "score gate: simulated work (accesses/instrs/cycles) differs from %s — \
+             the scores are not comparable; a baseline may only move host allocation@."
+            file;
+          exit 1
+        end;
         if List.exists (fun v -> v.Score.v_regressed || v.Score.v_improved) verdicts
         then begin
           Fmt.epr

@@ -229,6 +229,16 @@ if SGXBOUNDS_SCORE_PERTURB=-50 _build/default/bench/main.exe --smoke \
   echo "score gate failed to catch a deliberate improvement" >&2
   exit 1
 fi
+# the allocation score only compares over identical simulated work: a
+# baseline whose kernel ran one more cycle must trip the gate too
+if command -v jq >/dev/null 2>&1; then
+  jq '.kernels[0].cycles += 1' BENCH_PR6.json >"$score_b"
+  if _build/default/bench/main.exe --smoke --baseline "$score_b" \
+       --out "$score_a" score >/dev/null 2>&1; then
+    echo "score gate failed to catch simulated-work drift" >&2
+    exit 1
+  fi
+fi
 
 echo "== bench score: gate catches both perturb directions under the trace engine"
 # The committed baseline is measured under the default engine; the gate

@@ -529,7 +529,6 @@ type corpus_cell = {
     the scheme nor the auditors observe it. *)
 let run_variant ?(scheme = "native") (v : Handlers.variant) : corpus_cell =
   let ms = Memsys.create (Config.default ()) in
-  Fun.protect ~finally:(fun () -> Memsys.retire ms) @@ fun () ->
   let s0 = Harness.maker scheme ms in
   let s, t = wrap ~track_races:false s0 in
   Fun.protect ~finally:unhook @@ fun () ->

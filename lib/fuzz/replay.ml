@@ -6,11 +6,7 @@
     machine's simulated cycle/instruction/memory counters and the
     scheme's own check counters. Two runs of the same (trace, plan,
     scheme) under the two memory engines must produce structurally equal
-    records — that is the fuzzer's first invariant.
-
-    Machines are retired after each run ({!Sb_sgx.Memsys.retire}), so a
-    campaign of thousands of replays recycles the multi-megabyte page
-    arrays instead of re-zeroing them. *)
+    records — that is the fuzzer's first invariant. *)
 
 module Memsys = Sb_sgx.Memsys
 module Vmem = Sb_vmem.Vmem
@@ -152,25 +148,21 @@ let run ~maker ~(plan : Oracle.plan) (trace : Trace.t) : run =
      done
    with Stopped -> ());
   let snap = Memsys.snapshot ms in
-  let r =
-    {
-      stop = !stop;
-      reads;
-      cycles = snap.Memsys.cycles;
-      instrs = snap.Memsys.instrs;
-      mem_accesses = snap.Memsys.mem_accesses;
-      llc_misses = snap.Memsys.llc_misses;
-      epc_faults = snap.Memsys.epc_faults;
-      checks_done = s.Scheme.extras.checks_done;
-      checks_elided = s.Scheme.extras.checks_elided;
-      checks_hoisted = s.Scheme.extras.checks_hoisted;
-      violations_counted = s.Scheme.extras.violations;
-      boundless_accesses =
-        s.Scheme.extras.boundless_reads + s.Scheme.extras.boundless_writes;
-    }
-  in
-  Memsys.retire ms;
-  r
+  {
+    stop = !stop;
+    reads;
+    cycles = snap.Memsys.cycles;
+    instrs = snap.Memsys.instrs;
+    mem_accesses = snap.Memsys.mem_accesses;
+    llc_misses = snap.Memsys.llc_misses;
+    epc_faults = snap.Memsys.epc_faults;
+    checks_done = s.Scheme.extras.checks_done;
+    checks_elided = s.Scheme.extras.checks_elided;
+    checks_hoisted = s.Scheme.extras.checks_hoisted;
+    violations_counted = s.Scheme.extras.violations;
+    boundless_accesses =
+      s.Scheme.extras.boundless_reads + s.Scheme.extras.boundless_writes;
+  }
 
 (** [run] with the memory engine pinned to [kind] for every component
     the replay creates — the fuzzer's tri-engine oracle replays each

@@ -75,7 +75,7 @@ type t = {
   (* Cached translation window: the backing bytes of the page currently
      under the run, so fused data accesses skip Vmem entirely.
      [win_base] is the simulated address of byte 0 of [win_data], or
-     [min_int] when invalid (killed by any remap/protect/retire via the
+     [min_int] when invalid (killed by any unmap/protect via the
      Vmem hook). *)
   mutable win_data : Bytes.t;
   mutable win_base : int;
@@ -123,9 +123,12 @@ let create ~enabled =
     invalidations = 0;
   }
 
-(** Drop (without flushing — callers that must account first flush
-    themselves) the live run, the window and the detector state. *)
-let clear_run t =
+(** Fresh-run reset: drops (without flushing — callers that must
+    account first flush themselves) the live run, the window, the
+    detector state and the lifetime counters. Compiled site closures
+    are kept — they capture only the machine they were compiled for, and
+    recompiling them is pure overhead. *)
+let reset t =
   t.run_next <- min_int;
   t.run_w <- -1;
   t.run_ci <- -1;
@@ -137,13 +140,7 @@ let clear_run t =
   t.last_addr <- min_int;
   t.last_stride <- max_int;
   t.last_w <- -1;
-  t.last_ci <- -1
-
-(** Fresh-run reset: drops the live run and the lifetime counters.
-    Compiled site closures are kept — they capture only the machine
-    they were compiled for, and recompiling them is pure overhead. *)
-let reset t =
-  clear_run t;
+  t.last_ci <- -1;
   if Array.length t.site_hits > 0 then
     Array.fill t.site_hits 0 sig_space 0;
   t.superblocks <- 0;

@@ -3,9 +3,7 @@
     across domains by {!Sb_harness.Parallel_runner}.
 
     Each cell is self-contained and deterministic, so results are
-    identical for any [--jobs] and for either memory engine; machines are
-    retired into {!Sb_machine.Pool} after each cell so a sweep recycles
-    its big arrays instead of re-faulting fresh ones. *)
+    identical for any [--jobs] and for either memory engine. *)
 
 module Config = Sb_machine.Config
 module Memsys = Sb_sgx.Memsys
@@ -28,18 +26,16 @@ type point = {
   pt_env : Config.env;
   pt_rate : float;
   pt_outcome : (Service.stats, string) result;
-  (* machine-level views captured before the cell's machine is retired *)
   pt_attr : (Memsys.access_class * Memsys.class_stat) list;
   pt_compute : int;
   pt_spans : Spans.log option;  (** request exemplars when traced *)
 }
 
-(** Run one cell on a fresh machine; the machine is retired to the pool
-    afterwards. Scheme setup or serving crashes become [Error].
-    [spans], when given, traces every request and keeps the [spans]
-    slowest as exemplars in [pt_spans] (observation only — stats are
-    unchanged). The machine's per-class cycle attribution is always
-    captured into [pt_attr]/[pt_compute]. *)
+(** Run one cell on a fresh machine. Scheme setup or serving crashes
+    become [Error]. [spans], when given, traces every request and keeps
+    the [spans] slowest as exemplars in [pt_spans] (observation only —
+    stats are unchanged). The machine's per-class cycle attribution is
+    always captured into [pt_attr]/[pt_compute]. *)
 let run_cell ?spans (c : cell) =
   let ms = Memsys.create (Config.default ~env:c.env ()) in
   let log =
@@ -57,17 +53,14 @@ let run_cell ?spans (c : cell) =
     | exception Sb_vmem.Vmem.Enclave_oom _ -> Error "enclave out of memory"
     | exception Violation v -> Error (Fmt.str "%a" pp_violation v)
   in
-  let attr = Memsys.attribution ms in
-  let compute = Memsys.compute_cycles ms in
-  Memsys.retire ms;
   {
     pt_app = Drivers.name c.app;
     pt_scheme = c.scheme;
     pt_env = c.env;
     pt_rate = c.cfg.Service.rate_rps;
     pt_outcome = outcome;
-    pt_attr = attr;
-    pt_compute = compute;
+    pt_attr = Memsys.attribution ms;
+    pt_compute = Memsys.compute_cycles ms;
     pt_spans = log;
   }
 
@@ -88,24 +81,20 @@ let profile_app ?(env = Config.Inside_enclave) ?(requests = 200) ?(seed = 1) ~ap
   Memsys.attach_profiler ms prof;
   let site_setup = Profile.intern prof "setup" in
   let site_req = Profile.intern prof "request" in
-  let outcome =
-    match
-      let handler =
-        Profile.with_site prof site_setup (fun () ->
-            let s = Sb_protection.Profiled.wrap prof (Harness.maker scheme ms) in
-            Drivers.make app (Wctx.make ~seed s) ~workers:1)
-      in
-      for _ = 1 to requests do
-        Profile.with_site prof site_req (fun () -> handler ~worker:0)
-      done
-    with
-    | () -> Ok prof
-    | exception App_crash msg -> Error msg
-    | exception Sb_vmem.Vmem.Enclave_oom _ -> Error "enclave out of memory"
-    | exception Violation v -> Error (Fmt.str "%a" pp_violation v)
-  in
-  Memsys.retire ms;
-  outcome
+  match
+    let handler =
+      Profile.with_site prof site_setup (fun () ->
+          let s = Sb_protection.Profiled.wrap prof (Harness.maker scheme ms) in
+          Drivers.make app (Wctx.make ~seed s) ~workers:1)
+    in
+    for _ = 1 to requests do
+      Profile.with_site prof site_req (fun () -> handler ~worker:0)
+    done
+  with
+  | () -> Ok prof
+  | exception App_crash msg -> Error msg
+  | exception Sb_vmem.Vmem.Enclave_oom _ -> Error "enclave out of memory"
+  | exception Violation v -> Error (Fmt.str "%a" pp_violation v)
 
 (** Closed-loop capacity estimate for calibrating a sweep: offer the
     whole schedule at once (every arrival at t=0, queue deep enough to

@@ -1,6 +1,6 @@
 (** Enclave fleet: N instances of the sharded KV service, each on its
-    own simulated machine (own {!Sb_vmem.Vmem}/EPC/cache, drawn from and
-    retired to the machine pools), behind one front load balancer.
+    own simulated machine (own {!Sb_vmem.Vmem}/EPC/cache), behind one
+    front load balancer.
 
     The fleet is a discrete-event simulation at the host level. Each
     instance serves requests one at a time per worker; a request's
@@ -408,262 +408,249 @@ let run ?spans (cfg : config) =
   in
   let ring = Ring.make cfg.instances in
   let jobs = min cfg.instances (Domain.recommended_domain_count ()) in
-  (* every machine ever built, retired when the run ends (or crashes) *)
-  let machines = ref [] in
-  let retire_all () = List.iter Memsys.retire !machines in
   let kills = List.sort compare (List.map (fun (i, at) -> (at, i)) cfg.kills) in
-  let outcome =
-    match
-      let make_inst idx =
-        let ms, serve = build cfg ring idx ~seed:(inst_seed cfg idx 0) in
-        let inst =
-          {
-            idx;
-            ms;
-            serve;
-            queue = Queue.create ();
-            free_at = Array.make cfg.workers 0;
-            down_until = 0;
-            pending_kills =
-              List.filter_map (fun (at, i) -> if i = idx then Some at else None) kills;
-            completed = 0;
-            lost = 0;
-            restarts = 0;
-            max_queue = 0;
-            shed = 0;
-            last_fin = 0;
-            latency = Histogram.create (Printf.sprintf "fleet.%d.latency" idx);
-            queue_wait = Histogram.create (Printf.sprintf "fleet.%d.queue_wait" idx);
-            spans =
-              Option.map (fun cap -> Spans.create ~cap ~workers:cfg.workers ()) spans;
-          }
-        in
-        install_spans_hook inst;
-        inst
+  match
+    let make_inst idx =
+      let ms, serve = build cfg ring idx ~seed:(inst_seed cfg idx 0) in
+      let inst =
+        {
+          idx;
+          ms;
+          serve;
+          queue = Queue.create ();
+          free_at = Array.make cfg.workers 0;
+          down_until = 0;
+          pending_kills =
+            List.filter_map (fun (at, i) -> if i = idx then Some at else None) kills;
+          completed = 0;
+          lost = 0;
+          restarts = 0;
+          max_queue = 0;
+          shed = 0;
+          last_fin = 0;
+          latency = Histogram.create (Printf.sprintf "fleet.%d.latency" idx);
+          queue_wait = Histogram.create (Printf.sprintf "fleet.%d.queue_wait" idx);
+          spans =
+            Option.map (fun cap -> Spans.create ~cap ~workers:cfg.workers ()) spans;
+        }
       in
-      (* whatever was built is retired even if another build raised; the
-         lowest-index failure is the one a sequential build would hit *)
-      let built =
-        Parallel_runner.map ~jobs
-          (fun idx ->
-             try Ok (make_inst idx) with e -> Error (e, Printexc.get_raw_backtrace ()))
-          (Array.init cfg.instances Fun.id)
-      in
-      Array.iter (function Ok inst -> machines := inst.ms :: !machines | Error _ -> ()) built;
-      let insts =
-        Array.map
-          (function Ok inst -> inst | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-          built
-      in
-      let dropped = ref 0 and failed_over = ref 0 in
-      let rr = ref 0 in
-      let sticky = Array.make cfg.clients (-1) in
-      let advance_all ~t = Array.iter (fun inst -> advance_inst inst ops arrivals ~t) insts in
-      let rr_next ~t =
-        let n = cfg.instances in
-        let rec go tries =
-          if tries >= n then None
-          else begin
-            let i = !rr mod n in
-            incr rr;
-            if alive insts.(i) ~t then Some i else go (tries + 1)
-          end
-        in
-        go 0
-      in
-      let ll_pick ~t =
-        let best = ref None in
-        Array.iter
-          (fun inst ->
-             if alive inst ~t then begin
-               let l = load inst ~t in
-               match !best with
-               | Some (_, bl) when bl <= l -> ()
-               | _ -> best := Some (inst.idx, l)
-             end)
-          insts;
-        Option.map fst !best
-      in
-      (* The instance a request at time [t] goes to: chosen by policy
-         among the alive ones, [None] if nothing is up. *)
-      let pick ~t ~id =
-        match cfg.policy with
-        | Hash ->
-          Ring.owner_alive ring ~alive:(fun i -> alive insts.(i) ~t) (Ycsb.op_key ops.(id))
-        | Round_robin | Least_loaded ->
-          let client = id mod cfg.clients in
-          if cfg.affinity && sticky.(client) >= 0 && alive insts.(sticky.(client)) ~t then
-            Some sticky.(client)
-          else begin
-            let c =
-              match cfg.policy with
-              | Round_robin -> rr_next ~t
-              | Least_loaded -> ll_pick ~t
-              | Hash -> assert false
-            in
-            (match c with Some i when cfg.affinity -> sticky.(client) <- i | _ -> ());
-            c
-          end
-      in
-      (* Queue the request on [inst], or shed it if the queue is full.
-         Touches nothing outside [inst] unless [requeue]. *)
-      let admit inst ~t ~id ~requeue =
-        if Queue.length inst.queue >= cfg.queue_cap then inst.shed <- inst.shed + 1
+      install_spans_hook inst;
+      inst
+    in
+    (* the lowest-index failure is the one a sequential build would hit *)
+    let built =
+      Parallel_runner.map ~jobs
+        (fun idx ->
+           try Ok (make_inst idx) with e -> Error (e, Printexc.get_raw_backtrace ()))
+        (Array.init cfg.instances Fun.id)
+    in
+    let insts =
+      Array.map
+        (function Ok inst -> inst | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+        built
+    in
+    let dropped = ref 0 and failed_over = ref 0 in
+    let rr = ref 0 in
+    let sticky = Array.make cfg.clients (-1) in
+    let advance_all ~t = Array.iter (fun inst -> advance_inst inst ops arrivals ~t) insts in
+    let rr_next ~t =
+      let n = cfg.instances in
+      let rec go tries =
+        if tries >= n then None
         else begin
-          Queue.add (id, t) inst.queue;
-          if Queue.length inst.queue > inst.max_queue then
-            inst.max_queue <- Queue.length inst.queue;
-          if requeue then incr failed_over
+          let i = !rr mod n in
+          incr rr;
+          if alive insts.(i) ~t then Some i else go (tries + 1)
         end
       in
-      let route ~t ~id ~requeue =
-        match pick ~t ~id with
-        | None -> incr dropped
-        | Some i -> admit insts.(i) ~t ~id ~requeue
+      go 0
+    in
+    let ll_pick ~t =
+      let best = ref None in
+      Array.iter
+        (fun inst ->
+           if alive inst ~t then begin
+             let l = load inst ~t in
+             match !best with
+             | Some (_, bl) when bl <= l -> ()
+             | _ -> best := Some (inst.idx, l)
+           end)
+        insts;
+      Option.map fst !best
+    in
+    (* The instance a request at time [t] goes to: chosen by policy
+       among the alive ones, [None] if nothing is up. *)
+    let pick ~t ~id =
+      match cfg.policy with
+      | Hash ->
+        Ring.owner_alive ring ~alive:(fun i -> alive insts.(i) ~t) (Ycsb.op_key ops.(id))
+      | Round_robin | Least_loaded ->
+        let client = id mod cfg.clients in
+        if cfg.affinity && sticky.(client) >= 0 && alive insts.(sticky.(client)) ~t then
+          Some sticky.(client)
+        else begin
+          let c =
+            match cfg.policy with
+            | Round_robin -> rr_next ~t
+            | Least_loaded -> ll_pick ~t
+            | Hash -> assert false
+          in
+          (match c with Some i when cfg.affinity -> sticky.(client) <- i | _ -> ());
+          c
+        end
+    in
+    (* Queue the request on [inst], or shed it if the queue is full.
+       Touches nothing outside [inst] unless [requeue]. *)
+    let admit inst ~t ~id ~requeue =
+      if Queue.length inst.queue >= cfg.queue_cap then inst.shed <- inst.shed + 1
+      else begin
+        Queue.add (id, t) inst.queue;
+        if Queue.length inst.queue > inst.max_queue then
+          inst.max_queue <- Queue.length inst.queue;
+        if requeue then incr failed_over
+      end
+    in
+    let route ~t ~id ~requeue =
+      match pick ~t ~id with
+      | None -> incr dropped
+      | Some i -> admit insts.(i) ~t ~id ~requeue
+    in
+    let do_kill inst ~at =
+      inst.pending_kills <- List.tl inst.pending_kills;
+      let queued = List.of_seq (Queue.to_seq inst.queue) in
+      Queue.clear inst.queue;
+      inst.restarts <- inst.restarts + 1;
+      (* relaunch: fresh enclave + shard re-preload, then the SCONE
+         lifecycle bill — EPC teardown and the re-attestation round
+         trip — before the instance rejoins the alive set *)
+      let ms, serve =
+        build cfg ring inst.idx ~seed:(inst_seed cfg inst.idx inst.restarts)
       in
-      let do_kill inst ~at =
-        inst.pending_kills <- List.tl inst.pending_kills;
-        let queued = List.of_seq (Queue.to_seq inst.queue) in
-        Queue.clear inst.queue;
-        inst.restarts <- inst.restarts + 1;
-        let old = inst.ms in
-        Memsys.retire old;
-        machines := List.filter (fun m -> m != old) !machines;
-        (* relaunch: fresh enclave + shard re-preload, then the SCONE
-           lifecycle bill — EPC teardown and the re-attestation round
-           trip — before the instance rejoins the alive set *)
-        let ms, serve =
-          build cfg ring inst.idx ~seed:(inst_seed cfg inst.idx inst.restarts)
-        in
-        machines := ms :: !machines;
-        Memsys.charge_alu ms (Scone.enclave_teardown + Scone.enclave_attest);
-        let ready = at + Memsys.get_clock ms 0 in
-        inst.ms <- ms;
-        inst.serve <- serve;
-        install_spans_hook inst;
-        Array.fill inst.free_at 0 cfg.workers ready;
-        inst.down_until <- ready;
-        (* the queued requests fail over through the balancer *)
-        List.iter (fun (id, _) -> route ~t:at ~id ~requeue:true) queued
-      in
-      let pending = ref kills in
-      let process_kills_until t =
-        let continue = ref true in
-        while !continue do
-          match !pending with
-          | (at, i) :: rest when at <= t ->
-            pending := rest;
-            advance_all ~t:at;
-            do_kill insts.(i) ~at
-          | _ -> continue := false
-        done
-      in
-      (match cfg.policy with
-       | Least_loaded ->
-         for id = 0 to cfg.requests - 1 do
-           let t = arrivals.(id) in
-           process_kills_until t;
-           advance_all ~t;
-           route ~t ~id ~requeue:false
+      Memsys.charge_alu ms (Scone.enclave_teardown + Scone.enclave_attest);
+      let ready = at + Memsys.get_clock ms 0 in
+      inst.ms <- ms;
+      inst.serve <- serve;
+      install_spans_hook inst;
+      Array.fill inst.free_at 0 cfg.workers ready;
+      inst.down_until <- ready;
+      (* the queued requests fail over through the balancer *)
+      List.iter (fun (id, _) -> route ~t:at ~id ~requeue:true) queued
+    in
+    let pending = ref kills in
+    let process_kills_until t =
+      let continue = ref true in
+      while !continue do
+        match !pending with
+        | (at, i) :: rest when at <= t ->
+          pending := rest;
+          advance_all ~t:at;
+          do_kill insts.(i) ~at
+        | _ -> continue := false
+      done
+    in
+    (match cfg.policy with
+     | Least_loaded ->
+       for id = 0 to cfg.requests - 1 do
+         let t = arrivals.(id) in
+         process_kills_until t;
+         advance_all ~t;
+         route ~t ~id ~requeue:false
+       done;
+       process_kills_until max_int;
+       advance_all ~t:max_int
+     | Hash | Round_robin ->
+       let owner = Array.make cfg.requests (-1) in
+       let rec epoch lo =
+         let until = match !pending with (at, _) :: _ -> at | [] -> max_int in
+         let hi = ref lo in
+         while !hi < cfg.requests && arrivals.(!hi) < until do
+           let id = !hi in
+           (match pick ~t:arrivals.(id) ~id with
+            | Some i -> owner.(id) <- i
+            | None -> incr dropped);
+           incr hi
          done;
-         process_kills_until max_int;
-         advance_all ~t:max_int
-       | Hash | Round_robin ->
-         let owner = Array.make cfg.requests (-1) in
-         let rec epoch lo =
-           let until = match !pending with (at, _) :: _ -> at | [] -> max_int in
-           let hi = ref lo in
-           while !hi < cfg.requests && arrivals.(!hi) < until do
-             let id = !hi in
-             (match pick ~t:arrivals.(id) ~id with
-              | Some i -> owner.(id) <- i
-              | None -> incr dropped);
-             incr hi
-           done;
-           let hi = !hi in
-           (* The per-arrival loop's step at which a failure would have
-              surfaced (arrival [id] is step [2 id + 1], the kills closing
-              the epoch step [2 hi]): the raising request, still the queue
-              head, runs at the first step after its enqueue whose
-              horizon reaches its start. A requeued request (enqueued at
-              a kill time, after its arrival) entered before [lo]. *)
-           let failure_step inst =
-             match Queue.peek_opt inst.queue with
-             | None -> 2 * hi
-             | Some (id, enq) ->
-               let start = max inst.free_at.(next_worker inst) enq in
-               let j = ref (if enq = arrivals.(id) then max lo (id + 1) else lo) in
-               while !j < hi && arrivals.(!j) < start do incr j done;
-               if !j < hi then (2 * !j) + 1 else 2 * hi
-           in
-           let serve_share inst =
-             match
-               for id = lo to hi - 1 do
-                 if owner.(id) = inst.idx then begin
-                   let t = arrivals.(id) in
-                   advance_inst inst ops arrivals ~t;
-                   admit inst ~t ~id ~requeue:false
-                 end
-               done;
-               advance_inst inst ops arrivals ~t:until
-             with
-             | () -> None
-             | exception e -> Some (failure_step inst, e, Printexc.get_raw_backtrace ())
-           in
-           (* several failures: the earliest step wins, then the lowest index *)
-           let earliest a b =
-             match (a, b) with
-             | None, _ -> b
-             | Some (sa, _, _), Some (sb, _, _) when sb < sa -> b
-             | _ -> a
-           in
-           (match Array.fold_left earliest None (Parallel_runner.map ~jobs serve_share insts) with
-            | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-            | None -> ());
-           if until < max_int then begin
-             process_kills_until until;
-             epoch hi
-           end
+         let hi = !hi in
+         (* The per-arrival loop's step at which a failure would have
+            surfaced (arrival [id] is step [2 id + 1], the kills closing
+            the epoch step [2 hi]): the raising request, still the queue
+            head, runs at the first step after its enqueue whose
+            horizon reaches its start. A requeued request (enqueued at
+            a kill time, after its arrival) entered before [lo]. *)
+         let failure_step inst =
+           match Queue.peek_opt inst.queue with
+           | None -> 2 * hi
+           | Some (id, enq) ->
+             let start = max inst.free_at.(next_worker inst) enq in
+             let j = ref (if enq = arrivals.(id) then max lo (id + 1) else lo) in
+             while !j < hi && arrivals.(!j) < start do incr j done;
+             if !j < hi then (2 * !j) + 1 else 2 * hi
          in
-         epoch 0);
-      let per_instance =
-        Array.map
-          (fun inst ->
-             {
-               i_idx = inst.idx;
-               i_completed = inst.completed;
-               i_lost = inst.lost;
-               i_restarts = inst.restarts;
-               i_max_queue = inst.max_queue;
-               i_latency = inst.latency;
-               i_queue_wait = inst.queue_wait;
-               i_spans = inst.spans;
-             })
-          insts
-      in
-      let hs f = Array.to_list (Array.map f per_instance) in
-      let sum f = Array.fold_left (fun a inst -> a + f inst) 0 insts in
-      {
-        offered = cfg.requests;
-        completed = sum (fun i -> i.completed);
-        dropped = !dropped + sum (fun i -> i.shed);
-        failed_over = !failed_over;
-        lost = sum (fun i -> i.lost);
-        restarts = sum (fun i -> i.restarts);
-        elapsed = Array.fold_left (fun a inst -> max a inst.last_fin) 0 insts;
-        records = final_records;
-        latency = Latency.merge "fleet.latency" (hs (fun i -> i.i_latency));
-        queue_wait = Latency.merge "fleet.queue_wait" (hs (fun i -> i.i_queue_wait));
-        per_instance;
-      }
-    with
-    | st -> Ok st
-    | exception App_crash msg -> Error msg
-    | exception Sb_vmem.Vmem.Enclave_oom _ -> Error "enclave out of memory"
-    | exception Violation v -> Error (Fmt.str "%a" pp_violation v)
-  in
-  retire_all ();
-  outcome
+         let serve_share inst =
+           match
+             for id = lo to hi - 1 do
+               if owner.(id) = inst.idx then begin
+                 let t = arrivals.(id) in
+                 advance_inst inst ops arrivals ~t;
+                 admit inst ~t ~id ~requeue:false
+               end
+             done;
+             advance_inst inst ops arrivals ~t:until
+           with
+           | () -> None
+           | exception e -> Some (failure_step inst, e, Printexc.get_raw_backtrace ())
+         in
+         (* several failures: the earliest step wins, then the lowest index *)
+         let earliest a b =
+           match (a, b) with
+           | None, _ -> b
+           | Some (sa, _, _), Some (sb, _, _) when sb < sa -> b
+           | _ -> a
+         in
+         (match Array.fold_left earliest None (Parallel_runner.map ~jobs serve_share insts) with
+          | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+          | None -> ());
+         if until < max_int then begin
+           process_kills_until until;
+           epoch hi
+         end
+       in
+       epoch 0);
+    let per_instance =
+      Array.map
+        (fun inst ->
+           {
+             i_idx = inst.idx;
+             i_completed = inst.completed;
+             i_lost = inst.lost;
+             i_restarts = inst.restarts;
+             i_max_queue = inst.max_queue;
+             i_latency = inst.latency;
+             i_queue_wait = inst.queue_wait;
+             i_spans = inst.spans;
+           })
+        insts
+    in
+    let hs f = Array.to_list (Array.map f per_instance) in
+    let sum f = Array.fold_left (fun a inst -> a + f inst) 0 insts in
+    {
+      offered = cfg.requests;
+      completed = sum (fun i -> i.completed);
+      dropped = !dropped + sum (fun i -> i.shed);
+      failed_over = !failed_over;
+      lost = sum (fun i -> i.lost);
+      restarts = sum (fun i -> i.restarts);
+      elapsed = Array.fold_left (fun a inst -> max a inst.last_fin) 0 insts;
+      records = final_records;
+      latency = Latency.merge "fleet.latency" (hs (fun i -> i.i_latency));
+      queue_wait = Latency.merge "fleet.queue_wait" (hs (fun i -> i.i_queue_wait));
+      per_instance;
+    }
+  with
+  | st -> Ok st
+  | exception App_crash msg -> Error msg
+  | exception Sb_vmem.Vmem.Enclave_oom _ -> Error "enclave out of memory"
+  | exception Violation v -> Error (Fmt.str "%a" pp_violation v)
 
 (** Closed-loop fleet capacity: the whole schedule offered at t=0 with a
     queue deep enough to hold it — completions per second at full

@@ -37,7 +37,6 @@ type cell = {
     is not a double fetch). *)
 let run_app ?(requests = 12) ?(workers = 2) ~scheme app : cell =
   let ms = Memsys.create (Config.default ()) in
-  Fun.protect ~finally:(fun () -> Memsys.retire ms) @@ fun () ->
   let s0 = Harness.maker scheme ms in
   let s, t = Symex.wrap ~track_races:false s0 in
   Fun.protect ~finally:Symex.unhook @@ fun () ->

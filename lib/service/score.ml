@@ -12,15 +12,17 @@
     measurements of the same change drown in scheduler noise. The
     simulated-work denominator pins the other half: a change that makes
     the machine do *more* simulated work for the same kernel moves the
-    per-kernel [accesses]/[instrs] fields, which the gate also reports.
+    per-kernel [accesses]/[instrs]/[cycles] fields, and the gate fails
+    on any change to them: a regenerated baseline may move only host
+    allocation.
 
     Each kernel runs once as warm-up (faults in lazy state, grows hash
-    tables, fills the machine pools) and once measured; the score is
-    allocation words per 1000 units of simulated work. Scores are only
-    comparable between runs at the {e same} input scale — fixed setup
-    allocation amortizes differently over smoke and full inputs — so
-    the document records its scale and {!gate} refuses a cross-scale
-    comparison, exactly like an engine mismatch.
+    tables) and once measured; the score is allocation words per 1000
+    units of simulated work. Scores are only comparable between runs at
+    the {e same} input scale — fixed setup allocation amortizes
+    differently over smoke and full inputs — so the document records
+    its scale and {!gate} refuses a cross-scale comparison, exactly
+    like an engine mismatch.
 
     The gate is two-sided: an unexplained {e improvement} beyond
     tolerance fails just like a regression, because it means the
@@ -162,9 +164,7 @@ let access_mix ~rounds () =
     Memsys.fill ms ~addr:buf ~len:8192 ~byte:(r land 0xff);
     Memsys.blit ms ~src:buf ~dst:(buf + 65536) ~len:8192
   done;
-  let s = sample_of_ms ms in
-  Memsys.retire ms;
-  s
+  sample_of_ms ms
 
 let sample_of_result (r : Harness.result) =
   match r.Harness.outcome with
@@ -207,9 +207,7 @@ let serve_kernel ~requests () =
   let handler = Drivers.make Drivers.Memcached ctx ~workers:cfg.Service.workers in
   let log = Spans.create ~cap:8 ~workers:cfg.Service.workers () in
   ignore (Service.run ~trace:log ms cfg handler);
-  let s = sample_of_ms ms in
-  Memsys.retire ms;
-  s
+  sample_of_ms ms
 
 (** The kernel line-up, one per layer of the stack. Smoke shrinks the
     inputs ~4x; the score is intensive, so smoke and full runs of the
@@ -291,10 +289,17 @@ type verdict = {
   v_improved : bool;
       (** new < old beyond tolerance — also a gate failure: the
           committed baseline is stale and must be regenerated *)
+  v_drift : (string * int option * int) list;
+      (** simulated-work fields ([accesses], [instrs], [cycles]) that
+          differ from the baseline's, as (field, old, new); [None] when
+          the baseline lacks the field. Any entry fails the gate: the
+          allocation score is only comparable over identical work. *)
 }
 
-(** Compare a fresh run against a committed baseline document. Fails
-    (Error) when the comparison itself is meaningless: engine or input
+(** Compare a fresh run against a committed baseline document: per
+    kernel, the score against the tolerance and the simulated-work
+    fields for exact equality. Fails (Error) when the comparison itself
+    is meaningless: engine or input
     scale (smoke vs full) mismatch, or no kernel in common. A kernel
     only present on one side is skipped — renaming kernels updates the
     baseline, it does not break the gate. *)
@@ -321,28 +326,32 @@ let gate ~smoke ~tolerance_pct ~baseline ms =
     let bkernels =
       match Json.member "kernels" baseline with Some (Json.List l) -> l | _ -> []
     in
-    let old_of name =
-      List.find_map
-        (fun k ->
-           match (Json.member "kernel" k, Json.member "score" k) with
-           | Some (Json.Str n), Some s when n = name -> Json.to_int s
-           | _ -> None)
+    let entry_of name =
+      List.find_opt
+        (fun k -> Json.member "kernel" k = Some (Json.Str name))
         bkernels
     in
+    let field k f = Option.bind (Json.member f k) Json.to_int in
     let verdicts =
       List.filter_map
         (fun m ->
-           Option.map
-             (fun old ->
-                let slack = max 1 (old * tolerance_pct / 100) in
-                {
-                  v_kernel = m.m_kernel;
-                  v_old = old;
-                  v_new = m.m_score;
-                  v_regressed = m.m_score > old + slack;
-                  v_improved = m.m_score < old - slack;
-                })
-             (old_of m.m_kernel))
+           Option.bind (entry_of m.m_kernel) (fun k ->
+             Option.map
+               (fun old ->
+                  let slack = max 1 (old * tolerance_pct / 100) in
+                  {
+                    v_kernel = m.m_kernel;
+                    v_old = old;
+                    v_new = m.m_score;
+                    v_regressed = m.m_score > old + slack;
+                    v_improved = m.m_score < old - slack;
+                    v_drift =
+                      List.filter (fun (_, o, n) -> o <> Some n)
+                        [ ("accesses", field k "accesses", m.m_accesses);
+                          ("instrs", field k "instrs", m.m_instrs);
+                          ("cycles", field k "cycles", m.m_cycles) ];
+                  })
+               (field k "score")))
         ms
     in
     if verdicts = [] then

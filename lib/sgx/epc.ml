@@ -9,13 +9,17 @@ type t = {
   index : (int, int) Hashtbl.t; (* page -> slot *)
   (* Fast engine: direct-mapped page -> slot table (-1 = not resident)
      covering the simulated address space, mirroring [index] exactly.
-     Turns the residency probe on every DRAM access into one array read
-     instead of a hashtable lookup. [index] stays authoritative — it is
+     Turns the residency probe on every DRAM access into two array reads
+     instead of a hashtable lookup. Two-level like {!Sb_vmem.Vmem}'s
+     page table: a directory of [leaf_size]-page leaves, each starting
+     on the shared, never-written [empty_leaf] and given its own leaf on
+     the first insert into it. [index] stays authoritative — it is
      maintained in both engines and still serves pages outside the
      table's range (garbage addresses reach the EPC before Vmem faults
-     them). Length 0 when naive or when the address-space size was not
-     supplied. *)
-  mutable page_table : int array;  (* [||] after [retire] *)
+     them). [table_pages] is 0 when naive or when the address-space size
+     was not supplied. *)
+  table : int array array;
+  table_pages : int;
   mutable hand : int;
   mutable used : int;
   mutable faults : int;
@@ -31,24 +35,22 @@ type t = {
   fast : bool;
 }
 
-(* Retired direct-mapped residency tables, all -1 by construction (see
-   [retire]), shared across instances and domains. *)
-let table_pool : int array Sb_machine.Pool.t = Sb_machine.Pool.create ~max:8 ()
+let leaf_bits = 10
+let leaf_size = 1 lsl leaf_bits
+let leaf_mask = leaf_size - 1
+let empty_leaf = Array.make leaf_size (-1)
 
 let create ?(num_pages = 0) ~capacity_pages () =
   let capacity = max 1 capacity_pages in
   let fast = Sb_machine.Fastpath.is_enabled () in
+  let table_pages = if fast then num_pages else 0 in
   {
     capacity;
     slots = Array.make capacity (-1);
     refbit = Bytes.make capacity '\000';
     index = Hashtbl.create (capacity * 2);
-    page_table =
-      (if fast && num_pages > 0 then
-         Sb_machine.Pool.get table_pool
-           ~validate:(fun a -> Array.length a = num_pages)
-           (fun () -> Array.make num_pages (-1))
-       else [||]);
+    table = Array.make ((table_pages + leaf_mask) lsr leaf_bits) empty_leaf;
+    table_pages;
     hand = 0;
     used = 0;
     faults = 0;
@@ -58,6 +60,13 @@ let create ?(num_pages = 0) ~capacity_pages () =
     last_slot = 0;
     fast;
   }
+
+let table_set t page slot =
+  if page >= 0 && page < t.table_pages then begin
+    let d = page lsr leaf_bits in
+    if t.table.(d) == empty_leaf then t.table.(d) <- Array.make leaf_size (-1);
+    Array.unsafe_set t.table.(d) (page land leaf_mask) slot
+  end
 
 let set_tracer t tracer = t.tracer <- tracer
 
@@ -75,8 +84,8 @@ and touch_slow t ~page =
     (* Residency probe: direct-mapped table when the page is inside the
        simulated address space, hashtable otherwise. Both views are kept
        in sync on every insert and eviction. *)
-    if page >= 0 && page < Array.length t.page_table then
-      Array.unsafe_get t.page_table page
+    if page >= 0 && page < t.table_pages then
+      Array.unsafe_get (Array.unsafe_get t.table (page lsr leaf_bits)) (page land leaf_mask)
     else
       match Hashtbl.find_opt t.index page with Some s -> s | None -> -1
   in
@@ -113,8 +122,7 @@ and touch_slow t ~page =
         let victim = t.slots.(s) in
         emit t (Evict { page = victim; slot = s });
         Hashtbl.remove t.index victim;
-        if victim >= 0 && victim < Array.length t.page_table then
-          Array.unsafe_set t.page_table victim (-1);
+        table_set t victim (-1);
         s
       end
     in
@@ -122,8 +130,7 @@ and touch_slow t ~page =
     t.slots.(slot) <- page;
     Bytes.set t.refbit slot '\001';
     Hashtbl.replace t.index page slot;
-    if page >= 0 && page < Array.length t.page_table then
-      Array.unsafe_set t.page_table page slot;
+    table_set t page slot;
     if t.fast then begin
       t.last_page <- page;
       t.last_slot <- slot
@@ -141,13 +148,7 @@ let reset_stats t =
   t.evictions <- 0
 
 let clear t =
-  (* Un-map only the resident pages from the direct table — cheaper than
-     refilling the whole address space. *)
-  Array.iter
-    (fun page ->
-       if page >= 0 && page < Array.length t.page_table then
-         Array.unsafe_set t.page_table page (-1))
-    t.slots;
+  Array.fill t.table 0 (Array.length t.table) empty_leaf;
   Array.fill t.slots 0 t.capacity (-1);
   Bytes.fill t.refbit 0 t.capacity '\000';
   Hashtbl.reset t.index;
@@ -157,14 +158,3 @@ let clear t =
   t.evictions <- 0;
   t.last_page <- -1;
   t.last_slot <- 0
-
-let retire t =
-  if Array.length t.page_table > 0 then begin
-    (* [clear] un-maps every resident page from the direct table, so the
-       pooled array is all -1 again. *)
-    clear t;
-    let table = t.page_table in
-    t.page_table <- [||];
-    Sb_machine.Pool.put table_pool table
-  end
-  else clear t

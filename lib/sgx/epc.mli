@@ -45,9 +45,3 @@ val reset_stats : t -> unit
 
 (** Drop all residency state (between experiments). *)
 val clear : t -> unit
-
-(** [clear] plus: recycle the fast engine's direct-mapped residency
-    table through a shared pool so the next [create] skips its
-    zero-fill. Residency probes on a retired [t] fall back to the
-    (now empty) hashtable, but callers should simply stop using it. *)
-val retire : t -> unit

@@ -206,8 +206,8 @@ let flush_run t =
     tr.Trace.run_k <- 0;
     tr.Trace.run_start <- tr.Trace.run_next;
     (* Fused-access counting is done here in bulk rather than per access:
-       host-side observability only, so a run discarded by [reset]/
-       [retire] (which never flush) under-counting is fine. *)
+       host-side observability only, so a run discarded by [reset]
+       (which never flushes) under-counting is fine. *)
     tr.Trace.fused <- tr.Trace.fused + k;
     tr.Trace.run_flush start k
   end
@@ -439,7 +439,7 @@ let create ?tel (cfg : Config.t) =
     }
   in
   if trace_capable then
-    (* Any remap/protect/retire of the address space kills the live run
+    (* Any unmap/protect of the address space kills the live run
        and its cached page window: the accounting that is already
        pending is applied (the probes it replays are address-keyed and
        do not depend on the mapping), and the data path re-translates. *)
@@ -769,11 +769,3 @@ let attach_profiler t p =
   set_charge_hook t (Some (Profile.charge p))
 
 let detach_profiler t = set_charge_hook t None
-
-let retire t =
-  (* Drop (don't flush) any pending run first: the Vmem remap hook
-     fires during [Vmem.retire], and the EPC it would probe is being
-     retired. Stats must be read before [retire] anyway. *)
-  Trace.clear_run t.tr;
-  (match t.epc with None -> () | Some e -> Epc.retire e);
-  Vmem.retire t.vmem

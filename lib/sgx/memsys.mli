@@ -160,9 +160,3 @@ val set_charge_hook : t -> (int -> int -> unit) option -> unit
 val attach_profiler : t -> Sb_telemetry.Profile.t -> unit
 
 val detach_profiler : t -> unit
-
-(** Tear the machine down and recycle its big flat arrays (Vmem page
-    array, EPC residency table) through shared pools, making the next
-    [create] cheap. The machine must not be used afterwards. Read any
-    stats ([snapshot], [cache_stats], ...) {e before} retiring. *)
-val retire : t -> unit

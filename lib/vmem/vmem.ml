@@ -11,19 +11,37 @@ type fault_kind = Unmapped | Guard_hit | Write_to_ro
 exception Fault of { addr : int; kind : fault_kind }
 exception Enclave_oom of { requested : int; reserved : int; limit : int }
 
-type page = { data : Bytes.t; mutable perm : perm }
+(* A mapped page's [data] starts as the shared [zero] buffer and gets
+   its own bytes on its first write ([own_data]): a mapped page costs
+   host memory only once it is written. [zero] is never written — every
+   write path goes through [get_page_wr_slow] or [window], which both
+   call [own_data] before handing the bytes out — so sharing it across
+   all address spaces (and domains) is safe. *)
+type page = { mutable data : Bytes.t; mutable perm : perm }
 
-(* The shared sentinel stands for "unmapped" in the dense page array:
-   every access path discriminates on [perm] first, so giving it [Guard]
+let zero = Bytes.make page_size '\000'
+
+(* The shared sentinel stands for "unmapped" in the page table: every
+   access path discriminates on [perm] first, so giving it [Guard]
    folds the unmapped test into the same branch that guard pages already
    pay — the common (mapped) case does no option match and no extra
    compare. Identified by physical equality; its perm is never mutated
-   and its data never touched, so sharing one across all address spaces
-   (and domains) is safe. *)
-let sentinel = { data = Bytes.make page_size '\000'; perm = Guard }
+   and its data never touched. *)
+let sentinel = { data = zero; perm = Guard }
+
+let own_data p = if p.data == zero then p.data <- Bytes.make page_size '\000'
+
+(* Two-level page table: a directory of [leaf_size]-page leaves. Every
+   directory slot starts on the shared [empty_leaf] (all [sentinel],
+   never written), and [map] gives a slot its own leaf on first use, so
+   an address space costs host memory in proportion to what it maps. *)
+let leaf_bits = 10
+let leaf_size = 1 lsl leaf_bits
+let leaf_mask = leaf_size - 1
+let empty_leaf = Array.make leaf_size sentinel
 
 type t = {
-  mutable pages : page array;  (* dense; [sentinel] = unmapped; [||] = retired *)
+  dir : page array array;
   limit : int;
   mutable reserved : int;
   mutable peak : int;
@@ -38,37 +56,26 @@ type t = {
      hold the page index of the memoized page or -1; invalidated by
      unmap/protect. Only ever hold mapped pages with a permission that
      allows the memoized direction, so a memo hit can skip the range
-     check, the array load and the permission match. *)
+     check, the table loads and the permission match. A write memo only
+     ever holds a page with its own bytes. *)
   mutable rd_idx : int;
   mutable rd_page : page;
   mutable wr_idx : int;
   mutable wr_page : page;
-  (* Every successful [map] records its (page0, npages) range here so
-     [retire] can restore just those entries to the sentinel instead of
-     refilling the whole dense array. Entries are never removed by
-     [unmap]; re-sentineling an already-unmapped page is harmless. *)
-  mutable mapped_ranges : (int * int) list;
   fast : bool;
   (* Remap notification ({!set_remap_hook}): called after any operation
      that can change what an address resolves to or its writability —
-     [unmap], [protect], [retire]. The trace engine's fused data path
-     caches a page's backing bytes across accesses; this hook is how
-     that cache learns it must die. [map] never fires it: [map] only
-     ever claims sentinel (never-aliased) pages, so no cached window
-     can point into them. Zero cost on the access path. *)
+     [unmap], [protect]. The trace engine's fused data path caches a
+     page's backing bytes across accesses; this hook is how that cache
+     learns it must die. [map] never fires it: [map] only ever claims
+     sentinel (never-aliased) pages, so no cached window can point into
+     them. Zero cost on the access path. *)
   mutable on_remap : unit -> unit;
 }
 
-(* Retired page arrays, all-sentinel by construction (see [retire]),
-   shared across address spaces and domains. *)
-let pages_pool : page array Sb_machine.Pool.t = Sb_machine.Pool.create ~max:8 ()
-
 let create (cfg : Sb_machine.Config.t) =
   {
-    pages =
-      Sb_machine.Pool.get pages_pool
-        ~validate:(fun a -> Array.length a = num_pages)
-        (fun () -> Array.make num_pages sentinel);
+    dir = Array.make (num_pages lsr leaf_bits) empty_leaf;
     limit = cfg.enclave_mem_limit;
     reserved = 0;
     peak = 0;
@@ -77,7 +84,6 @@ let create (cfg : Sb_machine.Config.t) =
     rd_page = sentinel;
     wr_idx = -1;
     wr_page = sentinel;
-    mapped_ranges = [];
     fast = Sb_machine.Fastpath.is_enabled ();
     on_remap = ignore;
   }
@@ -94,15 +100,23 @@ let invalidate_memos t =
   t.wr_idx <- -1;
   t.wr_page <- sentinel
 
+(* Page [idx]'s entry. Bounds-checked on the directory, so an index past
+   the top of the address space raises [Invalid_argument]; the access
+   paths range-check the address first and use [page_unsafe]. *)
+let page t idx = t.dir.(idx lsr leaf_bits).(idx land leaf_mask)
+
+let page_unsafe t idx =
+  Array.unsafe_get (Array.unsafe_get t.dir (idx lsr leaf_bits)) (idx land leaf_mask)
+
 let is_mapped t addr =
-  addr >= 0 && addr <= addr_mask && t.pages.(addr lsr page_shift) != sentinel
+  addr >= 0 && addr <= addr_mask && page_unsafe t (addr lsr page_shift) != sentinel
 
 let fault addr kind = raise (Fault { addr; kind })
 
 let pages_of_len len = (len + page_size - 1) lsr page_shift
 
 let range_free t page0 npages =
-  let rec go i = i >= npages || (t.pages.(page0 + i) == sentinel && go (i + 1)) in
+  let rec go i = i >= npages || (page t (page0 + i) == sentinel && go (i + 1)) in
   page0 + npages <= num_pages && go 0
 
 let find_gap t npages =
@@ -141,9 +155,10 @@ let map t ?addr ~len ~perm () =
       p
   in
   for i = page0 to page0 + npages - 1 do
-    t.pages.(i) <- { data = Bytes.make page_size '\000'; perm }
+    let d = i lsr leaf_bits in
+    if t.dir.(d) == empty_leaf then t.dir.(d) <- Array.make leaf_size sentinel;
+    t.dir.(d).(i land leaf_mask) <- { data = zero; perm }
   done;
-  t.mapped_ranges <- (page0, npages) :: t.mapped_ranges;
   t.reserved <- t.reserved + bytes;
   if t.reserved > t.peak then t.peak <- t.reserved;
   page0 lsl page_shift
@@ -151,8 +166,8 @@ let map t ?addr ~len ~perm () =
 let unmap t ~addr ~len =
   let page0 = addr lsr page_shift and npages = pages_of_len len in
   for i = page0 to page0 + npages - 1 do
-    if t.pages.(i) != sentinel then begin
-      t.pages.(i) <- sentinel;
+    if page t i != sentinel then begin
+      t.dir.(i lsr leaf_bits).(i land leaf_mask) <- sentinel;
       t.reserved <- t.reserved - page_size
     end
   done;
@@ -164,23 +179,9 @@ let protect t ~addr ~len ~perm =
   invalidate_memos t;
   t.on_remap ();
   for i = page0 to page0 + npages - 1 do
-    let p = t.pages.(i) in
+    let p = page t i in
     if p == sentinel then fault (i lsl page_shift) Unmapped else p.perm <- perm
   done
-
-let retire t =
-  if Array.length t.pages > 0 then begin
-    t.on_remap ();
-    List.iter
-      (fun (page0, npages) -> Array.fill t.pages page0 npages sentinel)
-      t.mapped_ranges;
-    let pages = t.pages in
-    t.pages <- [||];
-    t.mapped_ranges <- [];
-    t.reserved <- 0;
-    invalidate_memos t;
-    Sb_machine.Pool.put pages_pool pages
-  end
 
 (* Translation. The memo compare alone is a complete safety check: a
    memoized index is always a valid mapped page index, and any [addr]
@@ -190,7 +191,7 @@ let retire t =
 let get_page_rd_slow t addr =
   if addr < 0 || addr > addr_mask then fault addr Unmapped;
   let idx = addr lsr page_shift in
-  let p = Array.unsafe_get t.pages idx in
+  let p = page_unsafe t idx in
   match p.perm with
   | Guard -> if p == sentinel then fault addr Unmapped else fault addr Guard_hit
   | Read_only | Read_write ->
@@ -207,9 +208,10 @@ let get_page_rd t addr =
 let get_page_wr_slow t addr =
   if addr < 0 || addr > addr_mask then fault addr Unmapped;
   let idx = addr lsr page_shift in
-  let p = Array.unsafe_get t.pages idx in
+  let p = page_unsafe t idx in
   match p.perm with
   | Read_write ->
+    own_data p;
     if t.fast then begin
       t.wr_idx <- idx;
       t.wr_page <- p
@@ -376,13 +378,15 @@ let read_string t ~addr ~len =
    fault on. The caller caches the result across accesses; the
    [set_remap_hook] callback is the invalidation protocol. *)
 let window t ~addr =
-  if addr < 0 || addr > addr_mask || Array.length t.pages = 0 then None
+  if addr < 0 || addr > addr_mask then None
   else begin
-    let p = Array.unsafe_get t.pages (addr lsr page_shift) in
+    let p = page_unsafe t (addr lsr page_shift) in
     match p.perm with
     | Guard -> None
     | Read_only -> Some (p.data, false)
-    | Read_write -> Some (p.data, true)
+    | Read_write ->
+      own_data p;
+      Some (p.data, true)
   end
 
 let fill t ~addr ~len ~byte =

@@ -40,7 +40,9 @@ val addr_mask : int
 val page_size : int
 
 (** [create cfg] makes an empty address space honouring
-    [cfg.enclave_mem_limit]. *)
+    [cfg.enclave_mem_limit]. Host memory follows use: the page table is
+    sparse, and a mapped page reads as zeros from one shared buffer
+    until its first write gives it its own bytes. *)
 val create : Sb_machine.Config.t -> t
 
 (** [map t ?addr ~len ~perm] reserves [len] bytes (rounded to pages). If
@@ -58,18 +60,16 @@ val map : t -> ?addr:int -> len:int -> perm:perm -> unit -> int
     by [page_size] only for each page that was actually mapped — so
     unmapping a range twice, or a range with holes, never double-frees
     the reservation. A later [map ~addr] into the freed hole re-reserves
-    exactly what was released. *)
+    exactly what was released.
+    @raise Invalid_argument if the range runs past the top of the
+    address space. *)
 val unmap : t -> addr:int -> len:int -> unit
 
-(** Change permissions of already-mapped pages. *)
+(** Change permissions of already-mapped pages.
+    @raise Fault [Unmapped] at the first unmapped page in the range.
+    @raise Invalid_argument if the range runs past the top of the
+    address space. *)
 val protect : t -> addr:int -> len:int -> perm:perm -> unit
-
-(** Tear the address space down and recycle its dense page array through
-    a shared pool, so the next [create] skips the multi-megabyte
-    zero-fill. The [t] must not be used afterwards (any access raises).
-    Idempotent. Intended for workloads that churn through many
-    short-lived machines, e.g. the fuzz replayer. *)
-val retire : t -> unit
 
 val is_mapped : t -> int -> bool
 
@@ -116,13 +116,15 @@ val headroom : t -> int
 (** [window t ~addr] is [Some (bytes, writable)] for the mapped,
     non-guard page containing [addr] ([bytes] is the live backing
     store, of length [page_size], and [writable] reports [Read_write]),
-    or [None] for anything an access would fault on. The caller may
-    cache the result only until the remap hook fires. *)
+    or [None] for anything an access would fault on. A writable window
+    is always the page's own bytes; a read-only one may be the shared
+    zero buffer of a never-written page. The caller may cache the
+    result only until the remap hook fires. *)
 val window : t -> addr:int -> (Bytes.t * bool) option
 
-(** Install the remap callback: invoked after every [unmap], [protect]
-    and [retire] — any operation that can change what an address
-    resolves to or its writability. [map] never fires it (fresh pages
+(** Install the remap callback: invoked after every [unmap] and
+    [protect] — any operation that can change what an address resolves
+    to or its writability. [map] never fires it (fresh pages
     are never aliased by an existing window). One hook per address
     space; later calls replace earlier ones. *)
 val set_remap_hook : t -> (unit -> unit) -> unit

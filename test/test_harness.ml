@@ -73,6 +73,25 @@ let test_sgxbounds_variants_ordered () =
   in
   Alcotest.(check bool) "opt <= noopt" true (cycles "sgxbounds" <= cycles "sgxbounds-noopt")
 
+(* A machine costs what it maps and writes, not the size of its address
+   space (a dense 2^19-entry page table alone is 512 K words). The minor
+   collection makes the counters include the minor heap. *)
+let test_machine_cost () =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let build scheme = ignore (Harness.maker scheme (Sb_sgx.Memsys.create (Config.default ()))) in
+  List.iter
+    (fun scheme ->
+       build scheme;
+       let before = words () in
+       build scheme;
+       let w = int_of_float (words () -. before) in
+       if w >= 65536 then Alcotest.failf "%s: a machine allocated %d words" scheme w)
+    Sb_schemes.Scheme_info.headline_names
+
 let suite =
   [
     Alcotest.test_case "run_one completes with metrics" `Quick test_run_one_completes;
@@ -82,4 +101,5 @@ let suite =
     Alcotest.test_case "environment plumbs through" `Quick test_env_plumbs_through;
     Alcotest.test_case "fresh machine per run" `Quick test_fresh_machine_per_run;
     Alcotest.test_case "optimizations never hurt" `Quick test_sgxbounds_variants_ordered;
+    Alcotest.test_case "machine construction allocates < 64K words" `Quick test_machine_cost;
   ]

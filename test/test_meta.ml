@@ -116,7 +116,7 @@ let wrappers : (string * (Profile.t -> Scheme.t -> Scheme.t)) list =
 
 let test_forwarding (name, wrap) () =
   let ms = Memsys.create (Config.default ()) in
-  Fun.protect ~finally:(fun () -> Audit.unhook (); Memsys.retire ms) @@ fun () ->
+  Fun.protect ~finally:Audit.unhook @@ fun () ->
   let prof = Profile.create ~buckets:[| "x" |] () in
   let l = { calls = []; raising = None; current = Scheme.Malloc } in
   let inner = logging ms l in
@@ -169,8 +169,7 @@ let id_at live s p =
 
 let test_births_across_realloc_free () =
   let live = Live.create () in
-  let ms, s = sgxbounds_with_live live in
-  Fun.protect ~finally:(fun () -> Memsys.retire ms) @@ fun () ->
+  let _, s = sgxbounds_with_live live in
   let a = s.Scheme.malloc 32 in
   let b = s.Scheme.calloc 4 8 in
   Alcotest.(check (option int)) "first birth" (Some 0) (id_at live s a);

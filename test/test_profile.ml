@@ -212,7 +212,9 @@ let score_baseline ?(engine = Score.engine ()) ?(smoke = false) kernels =
         Json.List
           (List.map
              (fun (name, score) ->
-                Json.Obj [ ("kernel", Json.Str name); ("score", Json.Int score) ])
+                Json.Obj
+                  [ ("kernel", Json.Str name); ("accesses", Json.Int 1000); ("instrs", Json.Int 0);
+                    ("cycles", Json.Int 0); ("score", Json.Int score) ])
              kernels) );
     ]
 
@@ -238,6 +240,19 @@ let test_gate_verdicts () =
     Alcotest.(check bool) "at tolerance is ok" false (v "k1").Score.v_regressed;
     Alcotest.(check bool) "beyond tolerance regresses" true (v "k2").Score.v_regressed;
     Alcotest.(check int) "kernels only in one side are skipped" 2 (List.length vs)
+
+let test_gate_drift () =
+  let baseline = score_baseline [ ("k1", 100); ("k2", 100); ("k3", 100) ] in
+  match
+    Score.gate ~smoke:false ~tolerance_pct:25 ~baseline
+      [ meas "k1" 100; { (meas "k2" 100) with Score.m_cycles = 1 };
+        { (meas "k3" 100) with Score.m_accesses = 999; m_instrs = 1 } ]
+  with
+  | Error e -> Alcotest.fail e
+  | Ok vs ->
+    Alcotest.(check (list (list string))) "drifted fields per kernel"
+      [ []; [ "cycles" ]; [ "accesses"; "instrs" ] ]
+      (List.map (fun v -> List.map (fun (f, _, _) -> f) v.Score.v_drift) vs)
 
 let test_gate_mismatches () =
   let is_error = function Error _ -> true | Ok _ -> false in
@@ -289,11 +304,10 @@ let test_score_doc_trend () =
   | Error e -> Alcotest.fail ("doc does not re-parse: " ^ e)
 
 let test_score_measure_deterministic () =
-  (* A pool-free synthetic kernel allocates exactly the same words every
-     call, so [measure] must report identical numbers — the property
-     behind the gate's +0.0% on unchanged code. (The real kernels are
-     deterministic per *process*, pinned by check.sh's double-run cmp;
-     in-process repeats see different machine-pool states.) *)
+  (* A synthetic kernel allocates exactly the same words every call, so
+     [measure] must report identical numbers — the property behind the
+     gate's +0.0% on unchanged code. (The real kernels are deterministic
+     per *process*, pinned by check.sh's double-run cmp.) *)
   let kernel =
     ( "synthetic",
       fun () ->
@@ -340,6 +354,7 @@ let suite =
       test_traced_serve_stats_invariant;
     Alcotest.test_case "span reservoir determinism" `Quick test_reservoir_determinism;
     Alcotest.test_case "gate verdicts" `Quick test_gate_verdicts;
+    Alcotest.test_case "gate fails on simulated-work drift" `Quick test_gate_drift;
     Alcotest.test_case "gate mismatch refusals" `Quick test_gate_mismatches;
     Alcotest.test_case "score doc trend semantics" `Quick test_score_doc_trend;
     Alcotest.test_case "score measurement deterministic" `Quick

@@ -95,7 +95,6 @@ let test_matrix_invariant () =
 
 let audit_only_findings ~scheme v =
   let ms = Memsys.create (Config.default ()) in
-  Fun.protect ~finally:(fun () -> Memsys.retire ms) @@ fun () ->
   let s, a = Audit.wrap ~track_races:false (Harness.maker scheme ms) in
   Fun.protect ~finally:Audit.unhook @@ fun () ->
   let req = s.Sb_protection.Scheme.malloc 1024 in

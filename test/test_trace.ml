@@ -9,8 +9,8 @@
     observation point. These tests drive the recorder's edge cases
     (promotion, pattern breaks, interposed probes, remap invalidation,
     thread switches, cooperative yields, telemetry/profiler fallback,
-    machine-pool reuse) under all three engines and insist on
-    structural equality. *)
+    consecutive machines, demand-zero pages) under all three engines
+    and insist on structural equality. *)
 
 module Fastpath = Sb_machine.Fastpath
 module Trace = Sb_machine.Trace
@@ -177,9 +177,7 @@ let pattern_kernel () =
     Memsys.touch ~cls:Memsys.Footer_meta ms ~addr:(a + 40960 + (k * 8)) ~width:4
   done;
   checkpoint ();
-  let r = (List.rev !probes, !digest) in
-  Memsys.retire ms;
-  r
+  (List.rev !probes, !digest)
 
 let test_patterns () = tri ~check:(check_run "patterns") pattern_kernel
 
@@ -219,9 +217,7 @@ let remap_kernel () =
    with Vmem.Fault { addr; _ } -> faulted := addr - a);
   note !faulted;
   checkpoint ();
-  let r = (List.rev !probes, !digest) in
-  Memsys.retire ms;
-  r
+  (List.rev !probes, !digest)
 
 let test_remap () = tri ~check:(check_run "remap") remap_kernel
 
@@ -249,9 +245,7 @@ let alloc_kernel () =
     if i = 512 then p := s.Scheme.realloc !p 8192
   done;
   let snap = Memsys.snapshot ms in
-  let r = (!digest, snap.Memsys.cycles, snap.Memsys.mem_accesses, snap.Memsys.llc_misses) in
-  Memsys.retire ms;
-  r
+  (!digest, snap.Memsys.cycles, snap.Memsys.mem_accesses, snap.Memsys.llc_misses)
 
 let test_alloc_invalidation () =
   tri
@@ -283,9 +277,7 @@ let thread_kernel () =
     if i = 1000 then Memsys.set_thread ms 1;
     if i = 1500 then Memsys.set_thread ms 0
   done;
-  let p = probe ms in
-  Memsys.retire ms;
-  ([ p ], !digest)
+  ([ probe ms ], !digest)
 
 let test_thread_switch () = tri ~check:(check_run "thread-switch") thread_kernel
 
@@ -335,7 +327,6 @@ let test_telemetry_fallback () =
     done;
     let p = probe ms in
     let ts = Memsys.trace_stats ms in
-    Memsys.retire ms;
     (p, !digest, ts)
   in
   let naive, _, _ = Fastpath.with_kind Fastpath.Naive kernel in
@@ -370,21 +361,19 @@ let profiler_kernel () =
     List.fold_left (fun acc (r : Profile.row) -> acc + r.Profile.r_self) 0
       (Profile.rows prof)
   in
-  Memsys.retire ms;
   ([ p ], (!digest * 31) + profiled)
 
 let test_profiler_attach () = tri ~check:(check_run "profiler-attach") profiler_kernel
 
 (* ------------------------------------------------------------------ *)
-(* Machine pool reuse                                                  *)
+(* Consecutive machines                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Retire/create cycles hand page and EPC arrays through the pools; a
-   recycled machine must behave exactly like the first, and compiled
+(* A later machine must behave exactly like the first, and compiled
    site closures must never leak across machines (they capture their
    machine). Run the same kernel on three consecutive machines per
    engine and require identical results each time. *)
-let test_pool_reuse () =
+let test_consecutive_machines () =
   let kernel () =
     let ms = Memsys.create (Config.default ()) in
     let vm = Memsys.vmem ms in
@@ -398,7 +387,6 @@ let test_pool_reuse () =
     done;
     let ts = Memsys.trace_stats ms in
     let p = probe ms in
-    Memsys.retire ms;
     (p, !digest, ts.Trace.superblocks, ts.Trace.fused)
   in
   let runs3 () =
@@ -413,13 +401,13 @@ let test_pool_reuse () =
            check_probe (Printf.sprintf "%s run%d" name i) pn po)
         (List.combine ns os))
     runs3;
-  (* under the trace engine, every pooled reincarnation re-records *)
+  (* under the trace engine, every new machine re-records *)
   Fastpath.with_kind Fastpath.Trace (fun () ->
     let (_, _, sb1, fu1) = kernel () in
     let (_, _, sb2, fu2) = kernel () in
-    Alcotest.(check bool) "superblocks promoted on recycled machine" true (sb2 > 0);
-    check_int "same superblocks across reincarnations" sb1 sb2;
-    check_int "same fused count across reincarnations" fu1 fu2)
+    Alcotest.(check bool) "superblocks promoted on a second machine" true (sb2 > 0);
+    check_int "same superblocks across machines" sb1 sb2;
+    check_int "same fused count across machines" fu1 fu2)
 
 (* ------------------------------------------------------------------ *)
 (* Recorder observability                                              *)
@@ -438,8 +426,7 @@ let test_trace_stats () =
          done;
          let ts = Memsys.trace_stats ms in
          check_int "no superblocks" 0 ts.Trace.superblocks;
-         check_int "no fused" 0 ts.Trace.fused;
-         Memsys.retire ms))
+         check_int "no fused" 0 ts.Trace.fused))
     [ Fastpath.Naive; Fastpath.Fast ];
   (* under trace: promotion, breaks and invalidations all observable *)
   Fastpath.with_kind Fastpath.Trace (fun () ->
@@ -479,8 +466,38 @@ let test_trace_stats () =
       Memsys.store ms ~addr:(a + (i * 8)) ~width:8 i
     done;
     let ts5 = Memsys.trace_stats ms in
-    Alcotest.(check bool) "re-promotes after reset" true (ts5.Trace.superblocks > 0);
-    Memsys.retire ms)
+    Alcotest.(check bool) "re-promotes after reset" true (ts5.Trace.superblocks > 0))
+
+(* ------------------------------------------------------------------ *)
+(* Demand-zero pages under fused runs                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A fused run over a never-written [Read_write] page caches a data
+   window, which must be the page's own bytes: a run is keyed on
+   address, width and class, so the stores mixed into it write through
+   that window and must never reach the shared zero buffer. *)
+let demand_zero_kernel () =
+  let ms = Memsys.create (Config.default ()) in
+  let vm = Memsys.vmem ms in
+  let a = Vmem.map vm ~len:16384 ~perm:Vmem.Read_write () in
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  let scan base n =
+    for i = 0 to n - 1 do note (Memsys.load ms ~addr:(base + (i * 8)) ~width:8) done
+  in
+  for i = 0 to 2047 do
+    let addr = a + (i * 8) in
+    if i land 3 = 3 then Memsys.store ms ~addr ~width:8 (i + 1)
+    else note (Memsys.load ms ~addr ~width:8)
+  done;
+  scan a 2048;
+  (* a fresh mapping still reads zeros *)
+  scan (Vmem.map vm ~len:8192 ~perm:Vmem.Read_write ()) 1024;
+  if Fastpath.trace_enabled () then
+    Alcotest.(check bool) "runs fused" true ((Memsys.trace_stats ms).Trace.fused > 0);
+  ([ probe ms ], !digest)
+
+let test_demand_zero () = tri ~check:(check_run "demand-zero") demand_zero_kernel
 
 let suite =
   [
@@ -494,6 +511,9 @@ let suite =
       test_telemetry_fallback;
     Alcotest.test_case "profiler attach mid-run, stats invariant" `Quick
       test_profiler_attach;
-    Alcotest.test_case "machine pool reuse re-records identically" `Quick test_pool_reuse;
+    Alcotest.test_case "consecutive machines re-record identically" `Quick
+      test_consecutive_machines;
+    Alcotest.test_case "tri-engine: demand-zero pages under fused runs" `Quick
+      test_demand_zero;
     Alcotest.test_case "trace_stats observability" `Quick test_trace_stats;
   ]

@@ -269,4 +269,74 @@ let pr2_suite =
       test_unmap_holes_accounting;
   ]
 
-let suite = suite @ extra_suite @ pr2_suite
+(* Sparse page table: the slow path indexes the directory and leaf
+   without bounds checks, so pin that every address it can be handed
+   faults, and that range operations never read outside the tables. *)
+let expect_fault kind f =
+  match f () with
+  | _ -> Alcotest.fail "expected fault"
+  | exception Vmem.Fault { kind = k; _ } -> Alcotest.(check bool) "fault kind" true (k = kind)
+
+let raises f = match f () with () -> false | exception _ -> true
+
+let test_sparse_faults () =
+  let vm = create () in
+  let top = Vmem.addr_mask - page + 1 in
+  Alcotest.(check bool) "fresh space: addr_mask unmapped" false (Vmem.is_mapped vm Vmem.addr_mask);
+  ignore (Vmem.map vm ~len:page ~perm:Vmem.Read_write ());
+  (* far from the only mapping, in a directory slot on the empty leaf *)
+  let far = top - (64 * 1024 * page) in
+  expect_fault Vmem.Unmapped (fun () -> Vmem.load vm ~addr:far ~width:4);
+  expect_fault Vmem.Unmapped (fun () -> Vmem.store vm ~addr:far ~width:4 1);
+  ignore (Vmem.map vm ~addr:top ~len:page ~perm:Vmem.Read_write ());
+  Alcotest.(check bool) "protect past the top raises" true
+    (raises (fun () -> Vmem.protect vm ~addr:top ~len:(2 * page) ~perm:Vmem.Read_only));
+  Alcotest.(check bool) "unmap past the top raises" true
+    (raises (fun () -> Vmem.unmap vm ~addr:top ~len:(2 * page)));
+  let ms = ms () in
+  ignore (Sgxbounds.make ms);
+  expect_fault Vmem.Guard_hit (fun () -> Vmem.load (Memsys.vmem ms) ~addr:top ~width:1);
+  expect_fault Vmem.Guard_hit (fun () ->
+    Vmem.store (Memsys.vmem ms) ~addr:Vmem.addr_mask ~width:1 1)
+
+(* Demand-zero pages: a mapped page reads zeros from one shared buffer
+   until its first write. Every engine must agree, and nothing may ever
+   write the shared buffer (a fresh page would then read non-zero). *)
+let on_engines f =
+  List.iter
+    (fun k -> Sb_machine.Fastpath.(with_kind k (fun () -> f (current_name ()))))
+    Sb_machine.Fastpath.[ Naive; Fast; Trace ]
+
+let zeros n = String.make n '\000'
+
+let test_demand_zero () =
+  on_engines (fun e ->
+    let vm = create () in
+    let a = Vmem.map vm ~len:(3 * page) ~perm:Vmem.Read_write () in
+    Alcotest.(check int) (e ^ " load") 0 (Vmem.load vm ~addr:(a + page + 8) ~width:8);
+    Alcotest.(check string) (e ^ " read_string") (zeros 300)
+      (Vmem.read_string vm ~addr:(a + page - 150) ~len:300);
+    Vmem.fill vm ~addr:(a + (2 * page)) ~len:page ~byte:0xAA;
+    Vmem.blit vm ~src:(a + page) ~dst:(a + (2 * page)) ~len:100;
+    Alcotest.(check string) (e ^ " blit copies zeros") (zeros 100)
+      (Vmem.read_string vm ~addr:(a + (2 * page)) ~len:100);
+    (* a never-written page made read-only *)
+    Vmem.protect vm ~addr:a ~len:page ~perm:Vmem.Read_only;
+    Alcotest.(check int) (e ^ " read-only reads 0") 0 (Vmem.load vm ~addr:(a + 64) ~width:4);
+    expect_fault Vmem.Write_to_ro (fun () -> Vmem.store vm ~addr:(a + 64) ~width:4 7);
+    (* pages written earlier read zeros again after unmap and map *)
+    Vmem.unmap vm ~addr:a ~len:(3 * page);
+    ignore (Vmem.map vm ~addr:a ~len:(3 * page) ~perm:Vmem.Read_write ());
+    Alcotest.(check string) (e ^ " remapped") (zeros (3 * page))
+      (Vmem.read_string vm ~addr:a ~len:(3 * page)));
+  (* after all of that, the shared zero buffer is still all zeros *)
+  let vm = create () in
+  let a = Vmem.map vm ~len:page ~perm:Vmem.Read_only () in
+  Alcotest.(check string) "fresh page" (zeros page) (Vmem.read_string vm ~addr:a ~len:page)
+
+let suite =
+  suite @ extra_suite @ pr2_suite
+  @ [
+    Alcotest.test_case "sparse table: faults and range bounds" `Quick test_sparse_faults;
+    Alcotest.test_case "demand-zero: reads, read-only, remap" `Quick test_demand_zero;
+  ]
