@@ -230,9 +230,10 @@ let on_alloc t (o : Live.obj) =
   if t.model = Sgxbounds_footer then
     note_access t ~meta:true ~op:"alloc" ~addr:o.hi ~width:4 ~access:Write
 
-(* A checked access under SGXBounds loads the LB footer of its object. *)
+(* A checked access under SGXBounds loads the LB footer of its object;
+   without race tracking there is nothing to note it in. *)
 let meta_read_of_check t addr =
-  if t.model = Sgxbounds_footer then
+  if t.track_races && t.model = Sgxbounds_footer then
     match lookup t addr with
     | Some o -> note_access t ~meta:true ~op:"check" ~addr:o.Live.hi ~width:4 ~access:Read
     | None -> ()

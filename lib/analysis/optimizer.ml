@@ -38,6 +38,7 @@ module Rng = Sb_machine.Rng
 module Memsys = Sb_sgx.Memsys
 module Scheme = Sb_protection.Scheme
 module Sitestream = Sb_protection.Sitestream
+module Live = Sb_protection.Live
 module Optimized = Sb_protection.Optimized
 module Scheme_info = Sb_schemes.Scheme_info
 module Json = Sb_telemetry.Json
@@ -230,11 +231,6 @@ let verify_plan (plan : Optimized.plan) (t : Sitestream.t) : cert_failure list =
   let checks : (int * int * access) list array = Array.make (max 1 nobjs) [] in
   let failures = ref [] in
   let fail site reason = failures := { cf_site = site; cf_reason = reason } :: !failures in
-  let covered obj lo hi access =
-    List.exists
-      (fun (clo, chi, cdir) -> clo <= lo && hi <= chi && (cdir = Write || access = Read))
-      checks.(obj)
-  in
   Array.iter
     (function
       | Sitestream.Alloc { obj; size } ->
@@ -281,7 +277,7 @@ let verify_plan (plan : Optimized.plan) (t : Sitestream.t) : cert_failure list =
                    :: checks.(obj)
                | _ -> ());
               let dir = if Sitestream.writes op then Write else Read in
-              if not (covered obj off (off + width) dir) then
+              if not (Live.covers off (off + width) dir checks.(obj)) then
                 fail sid "no dominating live check licenses this access"
             end
           end))

@@ -37,7 +37,7 @@ type event =
           live at (the next access index) *)
 
 type t = {
-  mutable rev_events : event list;
+  mutable buf : event array;  (** the first [nevents] slots are the log *)
   mutable nevents : int;
   live : Live.t;
   mutable ops : int;  (** checked-family op counter *)
@@ -45,15 +45,21 @@ type t = {
   mutable truncated : bool;
 }
 
-let events t = Array.of_list (List.rev t.rev_events)
+let events t = Array.sub t.buf 0 t.nevents
 let ops t = t.ops
 let births t = Live.births t.live
 let truncated t = t.truncated
 
 let emit t e =
-  if t.nevents < t.cap then begin
-    t.rev_events <- e :: t.rev_events;
-    t.nevents <- t.nevents + 1
+  let n = t.nevents in
+  if n < t.cap then begin
+    if n = Array.length t.buf then begin
+      let buf = Array.make (min t.cap (max 1024 (2 * n))) e in
+      Array.blit t.buf 0 buf 0 n;
+      t.buf <- buf
+    end;
+    t.buf.(n) <- e;
+    t.nevents <- n + 1
   end
   else t.truncated <- true
 
@@ -76,7 +82,7 @@ let chk t inner p len dir =
 
 let wrap ?(cap = 4_000_000) (inner : Scheme.t) : Scheme.t * t =
   let t =
-    { rev_events = []; nevents = 0; live = Live.create (); ops = 0; cap; truncated = false }
+    { buf = [||]; nevents = 0; live = Live.create (); ops = 0; cap; truncated = false }
   in
   let before op =
     match op with
