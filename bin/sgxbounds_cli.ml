@@ -782,22 +782,14 @@ let analyze_cmd =
           check_scheme s;
           [ s ]
       in
-      let n = if full then Some None else Option.map Option.some n in
-      (* [n]: None = smoke size per workload; Some None = registry default_n *)
+      let env = env_of outside in
       let cells =
-        List.concat_map
-          (fun (w : Registry.spec) ->
-             List.map
-               (fun scheme ->
-                  let n =
-                    match n with
-                    | None -> None
-                    | Some None -> Some w.Registry.default_n
-                    | Some (Some n) -> Some n
-                  in
-                  Analyze.run_cell ~env:(env_of outside) ~threads ?n ~scheme w)
-               schemes)
-          workloads
+        if full then
+          List.concat_map
+            (fun (w : Registry.spec) ->
+               Analyze.sweep ~env ~threads ~n:w.Registry.default_n ~jobs ~schemes [ w ])
+            workloads
+        else Analyze.sweep ~env ~threads ?n ~jobs ~schemes workloads
       in
       if json then Fmt.pr "%s@." (Json.to_string (Analyze.json_report cells))
       else Analyze.print_report cells;

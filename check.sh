@@ -8,6 +8,26 @@ cd "$(dirname "$0")"
 echo "== dune build"
 dune build
 
+echo "== per-access modules compare inline (no polymorphic compare)"
+# A polymorphic = or <= compiles to a C call (caml_equal, caml_lessequal,
+# ...) rather than an inline compare. The modules on the per-access path
+# must reference none: annotate the compared values' types instead.
+poly_bad=0
+for m in Live Scheme Audit Symex Sitestream Optimized Memsys Vmem Cache Hierarchy Epc; do
+  obj=$(find _build/default/lib -path '*/native/*' -name "*__$m.o")
+  if [ -z "$obj" ]; then
+    echo "$m: no native object under _build/default/lib" >&2
+    poly_bad=1
+    continue
+  fi
+  calls=$(nm -u $obj | grep -Eo 'caml_(equal|notequal|compare|lessequal|lessthan|greaterequal|greaterthan)$' | sort -u | tr '\n' ' ' | sed 's/ $//')
+  if [ -n "$calls" ]; then
+    echo "$m: references polymorphic compare: $calls" >&2
+    poly_bad=1
+  fi
+done
+test "$poly_bad" = 0
+
 echo "== dune build --profile release"
 dune build --profile release
 
@@ -283,6 +303,8 @@ echo "== audit sweep: all workloads x 4 schemes must be clean"
 # Exits non-zero on any contract violation or race finding; the JSON
 # summary is additionally asserted to be all-clean when jq is present.
 audit_out=$("$CLI" analyze --json)
+# the sweep fans its cells across domains: the document must not change
+test "$audit_out" = "$("$CLI" analyze --json -j 2)"
 if command -v jq >/dev/null 2>&1; then
   echo "$audit_out" | jq -e '.summary.findings == 0 and .summary.crashed == 0' >/dev/null
   echo "$audit_out" | jq -e '[.cells[] | select(.ops_audited == 0)] | length == 0' >/dev/null

@@ -5,6 +5,7 @@
     ("mutants") that a sound auditor must flag. *)
 
 module Harness = Sb_harness.Harness
+module Parallel_runner = Sb_harness.Parallel_runner
 module Registry = Sb_workloads.Registry
 module Config = Sb_machine.Config
 module Memsys = Sb_sgx.Memsys
@@ -37,10 +38,14 @@ type cell = {
 
 (** Run one audited (workload, scheme) cell on a fresh machine at smoke
     size (or [n]). The wrapper is {!Symex.wrap}, which carries the
-    dynamic auditor inside — every sweep cell therefore also asserts
-    the audit-subset soundness pin, and a workload that never plants
-    taint pays nothing for the symbolic layer. Race tracking is enabled
-    only for multithreaded runs: a single-threaded run has no parallel
+    dynamic auditor in the same interposition layer — every sweep cell
+    therefore also asserts the audit-subset soundness pin. A workload
+    that never plants taint pays for the symbolic layer only its hooks'
+    test of {!Symex.active} on each access, offset and check: on smoke
+    hmmer under sgxbounds, the auditor alone takes 1.4x the host CPU
+    time of the unwrapped run and with the symbolic layer 1.6x (best of
+    15 runs each on a 2-vCPU Xeon VM). Race tracking is enabled only
+    for multithreaded runs: a single-threaded run has no parallel
     regions to race in. *)
 let run_cell ?(env = Config.Inside_enclave) ?(threads = 1) ?n ~scheme
     (w : Registry.spec) =
@@ -72,10 +77,13 @@ let run_cell ?(env = Config.Inside_enclave) ?(threads = 1) ?n ~scheme
     c_subset_ok = Symex.subset_ok a;
   }
 
-let sweep ?env ?threads ?n ~schemes workloads =
-  List.concat_map
-    (fun w -> List.map (fun scheme -> run_cell ?env ?threads ?n ~scheme w) schemes)
-    workloads
+(** Every (workload, scheme) cell, in workload-major order, fanned
+    across [jobs] domains (default 1). Each cell owns its machine and
+    its auditor, and the auditor's region tracer is per domain, so the
+    cells are the same for any [jobs]. *)
+let sweep ?env ?threads ?n ?jobs ~schemes workloads =
+  let cells = List.concat_map (fun w -> List.map (fun s -> (w, s)) schemes) workloads in
+  Parallel_runner.map_list ?jobs (fun (w, scheme) -> run_cell ?env ?threads ?n ~scheme w) cells
 
 (* ---------- reports ---------- *)
 

@@ -382,14 +382,15 @@ let before t op =
 
 let unhook () = Sb_mt.Mt.set_region_tracer None
 
-(** [wrap inner] returns the audited scheme and the auditor handle.
-    Installs this domain's {!Sb_mt.Mt.set_region_tracer}; call
-    {!unhook} (or wrap the next scheme) when done. [track_races]
-    enables the happens-before shadow (leave it off for single-threaded
-    sweeps: without parallel regions it can find nothing and costs
-    host time). *)
-let wrap ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) :
-  Scheme.t * t =
+(** [create inner] makes the auditor of a run on [inner] without
+    wrapping anything: {!hooks} are its interposition, for a wrapper
+    that adds its own observation hooks to the same
+    {!Scheme.intercept} (see {!Scheme.also}). Installs this domain's
+    {!Sb_mt.Mt.set_region_tracer}; call {!unhook} (or create the next
+    auditor) when done. [track_races] enables the happens-before shadow
+    (leave it off for single-threaded sweeps: without parallel regions
+    it can find nothing and costs host time). *)
+let create ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) : t =
   let nthreads = (Memsys.cfg inner.Scheme.ms).Config.max_threads in
   let t =
     {
@@ -414,13 +415,20 @@ let wrap ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) :
     }
   in
   Sb_mt.Mt.set_region_tracer (Some (fun n -> fork t n));
-  ( Scheme.intercept
-      {
-        Scheme.no_hooks with
-        live = Some t.live;
-        birth = Some (fun o -> on_alloc t o);
-        enter = (fun _ -> Some (fun () -> enter t));
-        before = before t;
-      }
-      inner,
-    t )
+  t
+
+(** The auditor's interposition on the scheme it was created for. *)
+let hooks t =
+  {
+    Scheme.no_hooks with
+    live = Some t.live;
+    birth = Some (fun o -> on_alloc t o);
+    enter = (fun _ -> Some (fun () -> enter t));
+    before = before t;
+  }
+
+(** [wrap inner] returns the audited scheme and the auditor handle
+    (see {!create}). *)
+let wrap ?track_races ?max_findings (inner : Scheme.t) : Scheme.t * t =
+  let t = create ?track_races ?max_findings inner in
+  (Scheme.intercept (hooks t) inner, t)

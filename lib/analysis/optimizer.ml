@@ -58,149 +58,146 @@ let span_threshold = 8
     the checks it replaces). *)
 let run_threshold = 2
 
-(* A candidate site: a maximal affine run (consecutive accesses of one
-   object with equal op, width and stride) or a whole-object span. *)
-type cand = {
-  cd_kind : Optimized.site_kind;
-  cd_first : int;  (* op index of the first access *)
-  cd_op : Scheme.op;
-  cd_base : int;
-  cd_stride : int;
-  cd_lo : int;
-  cd_hi : int;
-  cd_write : bool;
-  cd_accs : (int * int * int) list;  (* (op index, off, width), in order *)
-}
+(* Candidate sites are ranges of one object's in-bounds accesses: a
+   maximal affine run (consecutive accesses of the object with equal op,
+   width and stride) or, for an object with [span_threshold] accesses or
+   more, all of them as one whole-object span. *)
 
-type oacc = { oa_idx : int; oa_op : Scheme.op; oa_off : int; oa_width : int }
-
-let cand_of_accs kind (accs : oacc list) =
-  let first = List.hd accs in
-  let lo = List.fold_left (fun m a -> min m a.oa_off) max_int accs in
-  let hi = List.fold_left (fun m a -> max m (a.oa_off + a.oa_width)) min_int accs in
-  let stride =
-    match accs with
-    | a :: b :: _ when kind = Optimized.Run -> b.oa_off - a.oa_off
-    | _ -> 0
-  in
-  {
-    cd_kind = kind;
-    cd_first = first.oa_idx;
-    cd_op = first.oa_op;
-    cd_base = first.oa_off;
-    cd_stride = stride;
-    cd_lo = lo;
-    cd_hi = hi;
-    cd_write = List.exists (fun a -> Sitestream.writes a.oa_op) accs;
-    cd_accs = List.map (fun a -> (a.oa_idx, a.oa_off, a.oa_width)) accs;
-  }
-
-(* Split an object's access sequence into maximal affine runs. *)
-let runs_of_accs (accs : oacc list) : cand list =
-  let flush cur out =
-    match cur with [] -> out | _ -> cand_of_accs Optimized.Run (List.rev cur) :: out
-  in
-  let rec go cur stride out = function
-    | [] -> List.rev (flush cur out)
-    | a :: rest -> (
-      match cur with
-      | [] -> go [ a ] None out rest
-      | prev :: _ ->
-        let d = a.oa_off - prev.oa_off in
-        let extends =
-          a.oa_op = prev.oa_op && a.oa_width = prev.oa_width
-          && (match stride with None -> true | Some s -> d = s)
-        in
-        if extends then go (a :: cur) (Some d) out rest
-        else go [ a ] None (flush cur out) rest)
-  in
-  go [] None [] accs
+(* Two access words of the same op and width. *)
+let same_shape w w' =
+  Sitestream.acc_op w = Sitestream.acc_op w' && Sitestream.acc_width w = Sitestream.acc_width w'
 
 let build_plan ~workload ~scheme (t : Sitestream.t) : Optimized.plan =
-  let events = Sitestream.events t in
   let nops = Sitestream.ops t in
   let nobjs = Sitestream.births t in
-  (* pass 1: object sizes, per-object in-bounds accesses and checks *)
   let sizes = Array.make (max 1 nobjs) (-1) in
-  let accs : oacc list array = Array.make (max 1 nobjs) [] in
+  let in_bounds w =
+    let obj = Sitestream.obj_of w in
+    obj >= 0 && sizes.(obj) >= 0 && Sitestream.acc_off w + Sitestream.acc_width w <= sizes.(obj)
+  in
+  (* pass 1: object sizes, in-bounds accesses per object, checks *)
+  let start = Array.make (max 1 nobjs + 1) 0 in
   let chks : (int * int * int * access) list array = Array.make (max 1 nobjs) [] in
-  Array.iter
-    (function
-      | Sitestream.Alloc { obj; size } -> sizes.(obj) <- size
-      | Sitestream.Dead _ -> ()
-      | Sitestream.Acc { idx; op; obj; off; width } ->
-        if obj >= 0 && sizes.(obj) >= 0 && off >= 0 && off + width <= sizes.(obj) then
-          accs.(obj) <- { oa_idx = idx; oa_op = op; oa_off = off; oa_width = width }
-                        :: accs.(obj)
-      | Sitestream.Chk { idx; obj; off; len; dir } ->
-        if obj >= 0 && sizes.(obj) >= 0 && len > 0 && off >= 0
-           && off + len <= sizes.(obj)
-        then chks.(obj) <- (idx, off, off + len, dir) :: chks.(obj))
-    events;
-  (* pass 2: per object (in birth order), candidates in stream order,
+  Sitestream.iter t
+    ~alloc:(fun obj size -> sizes.(obj) <- size)
+    ~dead:(fun _ -> ())
+    ~acc:(fun _ w ->
+        if in_bounds w then begin
+          let o = Sitestream.obj_of w + 1 in
+          start.(o) <- start.(o) + 1
+        end)
+    ~chk:(fun idx obj off len dir ->
+        if obj >= 0 && sizes.(obj) >= 0 && len > 0 && off >= 0 && off + len <= sizes.(obj)
+        then chks.(obj) <- (idx, off, off + len, dir) :: chks.(obj));
+  (* pass 2: object [o]'s accesses, in stream order, are the slots
+     [start.(o)] to [start.(o + 1) - 1] of [a_idx] (clock) and [a_word].
+     [sizes] is complete now, but an object's size was already known at
+     each of its accesses in pass 1 (its birth comes first), so both
+     passes keep the same accesses. *)
+  for o = 1 to nobjs do start.(o) <- start.(o) + start.(o - 1) done;
+  let naccs = start.(nobjs) in
+  let a_idx = Array.make naccs 0 and a_word = Array.make naccs 0 in
+  let fill = Array.sub start 0 (max 1 nobjs) in
+  Sitestream.iter t
+    ~alloc:(fun _ _ -> ())
+    ~dead:(fun _ -> ())
+    ~acc:(fun idx w ->
+        if in_bounds w then begin
+          let o = Sitestream.obj_of w in
+          let k = fill.(o) in
+          a_idx.(k) <- idx;
+          a_word.(k) <- w;
+          fill.(o) <- k + 1
+        end)
+    ~chk:(fun _ _ _ _ _ -> ());
+  let off k = Sitestream.acc_off a_word.(k) in
+  (* the end of the maximal affine run starting at slot [a], before [e] *)
+  let run_end a e =
+    if a + 1 >= e || not (same_shape a_word.(a) a_word.(a + 1)) then a + 1
+    else begin
+      let stride = off (a + 1) - off a in
+      let j = ref (a + 2) in
+      while !j < e && same_shape a_word.(!j - 1) a_word.(!j) && off !j - off (!j - 1) = stride do
+        incr j
+      done;
+      !j
+    end
+  in
+  (* pass 3: per object (in birth order), candidates in stream order,
      then the dominator decision against live checks *)
   let actions = Array.make nops Optimized.Pass in
   let sites = ref [] in
   let nsites = ref 0 in
   for obj = 0 to nobjs - 1 do
-    let oaccs = List.rev accs.(obj) in
-    let ochks = List.rev chks.(obj) in
-    let cands =
-      if List.length oaccs >= span_threshold then [ cand_of_accs Optimized.Span oaccs ]
-      else runs_of_accs oaccs
-    in
+    let ochks = chks.(obj) in
     (* checks this pass has already decided to hoist for this object *)
     let planned = ref [] in
-    List.iter
-      (fun c ->
-         let licensed (clo, chi, cdir) =
-           clo <= c.cd_lo && c.cd_hi <= chi && (cdir = Write || not c.cd_write)
-         in
-         let dir = if c.cd_write then Write else Read in
-         let dom_workload =
-           List.exists
-             (fun (cidx, clo, chi, cdir) -> cidx <= c.cd_first && licensed (clo, chi, cdir))
-             ochks
-         in
-         let dom_planned =
-           List.find_opt (fun (clo, chi, cdir, _) -> licensed (clo, chi, cdir)) !planned
-         in
-         let count = List.length c.cd_accs in
-         let make_site dom =
-           let id = !nsites in
-           nsites := id + 1;
-           sites :=
-             {
-               Optimized.site_id = id;
-               site_obj = obj;
-               site_kind = c.cd_kind;
-               site_op = c.cd_op;
-               site_base = c.cd_base;
-               site_stride = c.cd_stride;
-               site_count = count;
-               site_lo = c.cd_lo;
-               site_hi = c.cd_hi;
-               site_dir = dir;
-               site_dom = dom;
-             }
-             :: !sites;
-           id
-         in
-         let elide_all id = List.iter (fun (i, _, _) -> actions.(i) <- Optimized.Elide id) c.cd_accs in
-         if dom_workload then elide_all (make_site (-1))
-         else
-           match dom_planned with
-           | Some (_, _, _, dom_id) -> elide_all (make_site dom_id)
-           | None ->
-             if count >= run_threshold then begin
-               let id = make_site (!nsites) in
-               elide_all id;
-               (match c.cd_accs with
-                | (i0, _, _) :: _ -> actions.(i0) <- Optimized.Hoist id
-                | [] -> ());
-               planned := (c.cd_lo, c.cd_hi, dir, id) :: !planned
-             end)
-      cands
+    let decide kind a b =
+      let lo = ref max_int and hi = ref min_int and write = ref false in
+      for k = a to b - 1 do
+        let w = a_word.(k) in
+        lo := min !lo (off k);
+        hi := max !hi (off k + Sitestream.acc_width w);
+        write := !write || Sitestream.acc_writes w
+      done;
+      let lo = !lo and hi = !hi and write = !write in
+      let first = a_idx.(a) in
+      let licensed (clo, chi, cdir) = clo <= lo && hi <= chi && (cdir = Write || not write) in
+      let dir = if write then Write else Read in
+      let dom_workload =
+        List.exists (fun (cidx, clo, chi, cdir) -> cidx <= first && licensed (clo, chi, cdir)) ochks
+      in
+      let dom_planned =
+        List.find_opt (fun (clo, chi, cdir, _) -> licensed (clo, chi, cdir)) !planned
+      in
+      let count = b - a in
+      let make_site dom =
+        let id = !nsites in
+        nsites := id + 1;
+        sites :=
+          {
+            Optimized.site_id = id;
+            site_obj = obj;
+            site_kind = kind;
+            site_op = Sitestream.acc_op a_word.(a);
+            site_base = off a;
+            site_stride =
+              (match kind with Optimized.Run when count >= 2 -> off (a + 1) - off a | _ -> 0);
+            site_count = count;
+            site_lo = lo;
+            site_hi = hi;
+            site_dir = dir;
+            site_dom = dom;
+          }
+          :: !sites;
+        id
+      in
+      let elide_all id =
+        let e = Optimized.Elide id in
+        for k = a to b - 1 do actions.(a_idx.(k)) <- e done
+      in
+      if dom_workload then elide_all (make_site (-1))
+      else
+        match dom_planned with
+        | Some (_, _, _, dom_id) -> elide_all (make_site dom_id)
+        | None ->
+          if count >= run_threshold then begin
+            let id = make_site !nsites in
+            elide_all id;
+            actions.(first) <- Optimized.Hoist id;
+            planned := (lo, hi, dir, id) :: !planned
+          end
+    in
+    let a = start.(obj) and e = start.(obj + 1) in
+    if e - a >= span_threshold then decide Optimized.Span a e
+    else begin
+      let i = ref a in
+      while !i < e do
+        let j = run_end !i e in
+        decide Optimized.Run !i j;
+        i := j
+      done
+    end
   done;
   {
     Optimized.p_workload = workload;
@@ -224,37 +221,33 @@ let pp_cert_failure ppf f =
     contract {!Audit} enforces dynamically. Returns all failures (a
     sound plan returns []). *)
 let verify_plan (plan : Optimized.plan) (t : Sitestream.t) : cert_failure list =
-  let events = Sitestream.events t in
   let nobjs = Sitestream.births t in
   let sizes = Array.make (max 1 nobjs) (-1) in
   let alive = Array.make (max 1 nobjs) false in
   let checks : (int * int * access) list array = Array.make (max 1 nobjs) [] in
   let failures = ref [] in
   let fail site reason = failures := { cf_site = site; cf_reason = reason } :: !failures in
-  Array.iter
-    (function
-      | Sitestream.Alloc { obj; size } ->
+  let sites = plan.Optimized.p_sites and actions = plan.Optimized.p_actions in
+  Sitestream.iter t
+    ~alloc:(fun obj size ->
         sizes.(obj) <- size;
-        alive.(obj) <- true
-      | Sitestream.Dead { obj } ->
+        alive.(obj) <- true)
+    ~dead:(fun obj ->
         alive.(obj) <- false;
-        checks.(obj) <- []
-      | Sitestream.Chk { idx = _; obj; off; len; dir } ->
+        checks.(obj) <- [])
+    ~chk:(fun _ obj off len dir ->
         if obj >= 0 && alive.(obj) && len > 0 && off >= 0 && off + len <= sizes.(obj)
-        then checks.(obj) <- (off, off + len, dir) :: checks.(obj)
-      | Sitestream.Acc { idx; op; obj; off; width } -> (
-        let action =
-          if idx < Array.length plan.Optimized.p_actions then
-            plan.Optimized.p_actions.(idx)
-          else Optimized.Pass
-        in
+        then checks.(obj) <- (off, off + len, dir) :: checks.(obj))
+    ~acc:(fun idx w ->
+        let action = if idx < Array.length actions then actions.(idx) else Optimized.Pass in
         match action with
         | Optimized.Pass -> ()
         | Optimized.Elide sid | Optimized.Hoist sid ->
-          if sid < 0 || sid >= Array.length plan.Optimized.p_sites then
-            fail sid "site id out of range"
+          if sid < 0 || sid >= Array.length sites then fail sid "site id out of range"
           else begin
-            let s = plan.Optimized.p_sites.(sid) in
+            let s = sites.(sid) in
+            let obj = Sitestream.obj_of w in
+            let off = Sitestream.acc_off w and width = Sitestream.acc_width w in
             if obj < 0 then fail sid "access has no single referent object"
             else if obj <> s.Optimized.site_obj then
               fail sid
@@ -276,12 +269,11 @@ let verify_plan (plan : Optimized.plan) (t : Sitestream.t) : cert_failure list =
                    (s.Optimized.site_lo, s.Optimized.site_hi, s.Optimized.site_dir)
                    :: checks.(obj)
                | _ -> ());
-              let dir = if Sitestream.writes op then Write else Read in
+              let dir = if Sitestream.acc_writes w then Write else Read in
               if not (Live.covers off (off + width) dir checks.(obj)) then
                 fail sid "no dominating live check licenses this access"
             end
-          end))
-    events;
+          end);
   List.rev !failures
 
 (* ---------- per-cell driver ---------- *)

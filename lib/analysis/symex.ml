@@ -34,12 +34,13 @@
     those classes are neutralized operationally instead, by trapping the
     resulting out-of-bounds access.
 
-    The wrapper composes {!Audit.wrap} *inside* itself, so every run
-    carries both passes and the dynamic findings are a subset of the
-    unified findings by construction ({!subset_ok}). All taint
-    bookkeeping is gated on {!active} — until the driver calls
-    {!taint_region} the wrapper adds nothing but the audit layer, and
-    metrics stay bit-identical. *)
+    The wrapper carries {!Audit} with it: its hooks join the auditor's
+    in one {!Sb_protection.Scheme.intercept}, so every run carries both
+    passes and the dynamic findings are a subset of the unified
+    findings by construction ({!subset_ok}). All taint bookkeeping is
+    gated on {!active} — until the driver calls {!taint_region} each
+    taint hook returns after one test, and metrics stay
+    bit-identical. *)
 
 module Memsys = Sb_sgx.Memsys
 module Config = Sb_machine.Config
@@ -112,7 +113,7 @@ type t = {
 }
 
 (** Taint machinery engages only once the driver has planted symbols;
-    before that every interceptor is a plain passthrough and audited
+    before that every taint hook returns after this test and audited
     runs keep bit-identical metrics. *)
 let active t = t.next_sym > 0
 
@@ -441,14 +442,15 @@ let after_ptr t (s : Scheme.t) op =
 
 let unhook = Audit.unhook
 
-(** [wrap inner] = taint interpreter over [Audit.wrap inner]: the
-    audited scheme sits inside, so the dynamic pass observes exactly
-    the operations the symbolic pass does and its findings are a subset
-    of {!findings} by construction. Same single-per-domain discipline
-    as {!Audit.wrap} (call {!unhook} when done). *)
+(** [wrap inner] = taint interpreter and {!Audit} over [inner], through
+    one {!Scheme.intercept}: the taint hooks are added to the auditor's
+    ({!Scheme.also}), so both passes observe exactly the same operations
+    and the dynamic findings are a subset of {!findings} by
+    construction. Same single-per-domain discipline as {!Audit.wrap}
+    (call {!unhook} when done). *)
 let wrap ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) :
   Scheme.t * t =
-  let audited, audit = Audit.wrap ~track_races ~max_findings inner in
+  let audit = Audit.create ~track_races ~max_findings inner in
   let t =
     {
       audit;
@@ -473,15 +475,16 @@ let wrap ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) :
       counts = Hashtbl.create 8;
     }
   in
-  ( Scheme.intercept
-      {
-        Scheme.no_hooks with
-        before = before t audited;
-        after = after t audited;
-        after_ptr = after_ptr t audited;
-      }
-      audited,
-    t )
+  (* the hooks only need [addr_of], which [intercept] never changes *)
+  let taint =
+    {
+      Scheme.no_hooks with
+      before = before t inner;
+      after = after t inner;
+      after_ptr = after_ptr t inner;
+    }
+  in
+  (Scheme.intercept (Scheme.also taint (Audit.hooks audit)) inner, t)
 
 (* ---------- accessors ---------- *)
 

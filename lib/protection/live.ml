@@ -118,8 +118,10 @@ let pop t tok =
   t.frames <- unwind t.frames;
   List.rev !killed
 
-(* The scans below are top-level so that a call builds no closure. *)
-let rec has_check lo hi dir = function
+(* The scans below are top-level so that a call builds no closure, and
+   their arguments are typed so that they compare inline rather than
+   through the polymorphic [caml_equal]/[caml_lessequal]. *)
+let rec has_check (lo : int) (hi : int) (dir : access) = function
   | [] -> false
   | (clo, chi, cdir) :: rest -> (clo = lo && chi = hi && cdir = dir) || has_check lo hi dir rest
 
@@ -130,7 +132,7 @@ let add_check o lo hi dir =
 (** Does one of [checks] cover [[lo, hi)] for an access in direction
     [dir]? A [Write] check licenses both directions, a [Read] check
     only reads. *)
-let rec covers lo hi dir = function
+let rec covers (lo : int) (hi : int) (dir : access) = function
   | [] -> false
   | (clo, chi, cdir) :: rest ->
     (clo <= lo && hi <= chi && (cdir = Write || dir = Read)) || covers lo hi dir rest

@@ -349,3 +349,39 @@ let intercept h s =
     libc_check = check Libc_check s.libc_check;
     libc_touch = touch s.libc_touch;
   }
+
+(** [also outer h]: the hooks of [h] with the observation hooks of
+    [outer] added, for one {!intercept}. This is how an observing
+    wrapper stacks over another: rather than intercept the scheme [h]
+    has already intercepted, which would put every operation through a
+    second layer of closures, it adds its hooks to [h]'s. [outer]'s
+    [before] runs ahead of [h]'s, its [after] gets the int [h]'s
+    [after] returned, and its [after_ptr] runs behind [h]'s: the order
+    a second [intercept] around [h]'s would give, except that [h]'s
+    [enter] now runs ahead of [outer]'s [before]. [outer] only
+    observes: it must set no live table, birth, death, [enter], [leave]
+    or [elide] ([Invalid_argument] otherwise). *)
+let also outer h =
+  let unset f = List.for_all (fun op -> Option.is_none (f op)) ops in
+  if
+    Option.is_some outer.live || Option.is_some outer.birth || Option.is_some outer.death
+    || not (unset outer.enter && unset outer.leave && unset outer.elide)
+  then invalid_arg "Scheme.also: the outer hooks must only observe";
+  (* each pair fused by a [fun] of the hook's full arity, not by
+     partial application *)
+  let before op =
+    match (outer.before op, h.before op) with
+    | None, x | x, None -> x
+    | Some o, Some i -> Some (fun site p n d -> o site p n d; i site p n d)
+  in
+  let after op =
+    match (outer.after op, h.after op) with
+    | None, x | x, None -> x
+    | Some o, Some i -> Some (fun p n v -> o p n (i p n v))
+  in
+  let after_ptr op =
+    match (outer.after_ptr op, h.after_ptr op) with
+    | None, x | x, None -> x
+    | Some o, Some i -> Some (fun p n q -> i p n q; o p n q)
+  in
+  { h with before; after; after_ptr }

@@ -232,6 +232,55 @@ let test_sweep_smoke () =
        Alcotest.(check bool) "audited some operations" true (c.Analyze.c_ops > 0))
     cells
 
+(* ---- the sweep: domains and pinned outputs ---- *)
+
+(* [json_of_cell] digests of a cheap subset, as bench/ledger's
+   audit-opt pins them. *)
+let pinned_cells =
+  [
+    ("string_match", "native", "4f47f1679f6681b86b9b819e574a16a2");
+    ("string_match", "sgxbounds", "00d2a4058510f2cd5caf495aabdca771");
+    ("string_match", "asan", "d75750a5d351850ecab7442bc5e57852");
+    ("string_match", "mpx", "51ee64f0545a10fd033342707a169cdc");
+    ("dedup", "native", "8846910d2b0c416fa39795170fba607c");
+    ("dedup", "sgxbounds", "654fdc8bc5cd68d57a5bd56b569c556e");
+    ("dedup", "asan", "2ee16ea96bfa3351a790d2ffb23f4e1a");
+    ("dedup", "mpx", "42e3162edc4226efafe1c12f8d5ef453");
+    ("mcf", "native", "5c390fb3ca006d36e5adca6d120c8967");
+    ("mcf", "sgxbounds", "d8cc762e3a2b0d3af00a6760edd8af9f");
+    ("mcf", "asan", "3218740650e3bc20ed6a136ffe56f9e2");
+    ("mcf", "mpx", "ec71bec55b758696cf271b5c79fb026a");
+    ("xalancbmk", "native", "2ef8510a87d3f97e5b2ac24fcec8aa59");
+    ("xalancbmk", "sgxbounds", "b8a504c44d04e4a4f22fff89252cf5da");
+    ("xalancbmk", "asan", "7dc2d95c1690cead7aa7b1e0a665ec46");
+    ("xalancbmk", "mpx", "9ddfc29bc17e804f14d794846082958e");
+  ]
+
+(* [analyze --json] under -j 1 and -j 2 is the same document, and its
+   cells are the pinned ones. *)
+let test_sweep_jobs_and_digests () =
+  let workloads = List.map Registry.find [ "string_match"; "dedup"; "mcf"; "xalancbmk" ] in
+  let sweep jobs = Analyze.sweep ~jobs ~schemes:Analyze.default_schemes workloads in
+  let c1 = sweep 1 and c2 = sweep 2 in
+  let doc cells = Sb_telemetry.Json.to_string (Analyze.json_report cells) in
+  Alcotest.(check string) "--jobs 1 = --jobs 2" (doc c1) (doc c2);
+  Alcotest.(check int) "every cell" (List.length pinned_cells) (List.length c1);
+  List.iter
+    (fun (c : Analyze.cell) ->
+       let want =
+         List.find_map
+           (fun (w, s, d) ->
+              if w = c.Analyze.c_workload && s = c.Analyze.c_scheme then Some d else None)
+           pinned_cells
+       in
+       let got =
+         Digest.to_hex (Digest.string (Sb_telemetry.Json.to_string (Analyze.json_of_cell c)))
+       in
+       Alcotest.(check (option string))
+         (c.Analyze.c_workload ^ "/" ^ c.Analyze.c_scheme)
+         want (Some got))
+    c1
+
 let suite =
   [
     Alcotest.test_case "selftests: seeded race and mutants" `Quick test_selftests;
@@ -259,4 +308,6 @@ let suite =
     Alcotest.test_case "fixed workloads audit clean at t=4" `Slow
       test_fixed_workloads_audit_clean;
     Alcotest.test_case "sweep smoke" `Slow test_sweep_smoke;
+    Alcotest.test_case "sweep: --jobs invariant, pinned cell digests" `Quick
+      test_sweep_jobs_and_digests;
   ]

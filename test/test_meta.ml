@@ -113,6 +113,12 @@ let wrappers : (string * (Profile.t -> Scheme.t -> Scheme.t)) list =
       fun _ s -> fst (Optimized.wrap (Optimized.empty_plan ~workload:"w" ~scheme:"logging") s) );
     ("audit", fun _ s -> fst (Audit.wrap s));
     ("symex", fun _ s -> fst (Symex.wrap s));
+    (* taint planted over the test's addresses, so every taint hook runs *)
+    ( "symex (tainted)",
+      fun _ s ->
+        let s, t = Symex.wrap s in
+        Symex.taint_region t ~addr:0x1000 ~len:64 ~label:"req";
+        s );
     (* a fault that never fires *)
     ("faulty", fun _ -> Faulty.inject (Faulty.Elide_every_nth max_int));
   ]
@@ -160,6 +166,45 @@ let test_forwarding (name, wrap) () =
          true
          (List.length r.Profile.r_path <= 1))
     (Profile.rows prof)
+
+(* ---------- stacking observers in one intercept ---------- *)
+
+(* [also outer inner]: one layer, with the hooks in the order two
+   stacked layers would run them. *)
+let test_also_order () =
+  let ms = Memsys.create (Config.default ()) in
+  let l = { calls = []; raising = None; current = Scheme.Malloc } in
+  let seen = ref [] in
+  let note s = seen := s :: !seen in
+  let observer name =
+    {
+      Scheme.no_hooks with
+      before =
+        (function Scheme.Load -> Some (fun _ _ _ _ -> note (name ^ ".before")) | _ -> None);
+      after =
+        (function
+          | Scheme.Load -> Some (fun _ _ v -> note (Printf.sprintf "%s.after %d" name v); v + 1)
+          | _ -> None);
+      after_ptr =
+        (function Scheme.Offset -> Some (fun _ _ _ -> note (name ^ ".after_ptr")) | _ -> None);
+    }
+  in
+  let enter _ = Some (fun () -> note "inner.enter") in
+  let inner = { (observer "inner") with Scheme.enter } in
+  let s = Scheme.intercept (Scheme.also (observer "outer") inner) (logging ms l) in
+  let v = s.Scheme.load { v = 0x1000; bnd = None } 4 in
+  ignore (s.Scheme.offset { v = 0x1000; bnd = None } 4);
+  Alcotest.(check (list string)) "hook order"
+    [ "inner.enter"; "outer.before"; "inner.before"; Printf.sprintf "inner.after %d" ret_int;
+      Printf.sprintf "outer.after %d" (ret_int + 1); "inner.after_ptr"; "outer.after_ptr" ]
+    (List.rev !seen);
+  Alcotest.(check int) "the outer after's int is returned" (ret_int + 2) v;
+  Alcotest.check_raises "an outer layer that elides is refused"
+    (Invalid_argument "Scheme.also: the outer hooks must only observe") (fun () ->
+      ignore
+        (Scheme.also
+           { Scheme.no_hooks with elide = (fun _ -> Some (fun _ _ -> true)) }
+           Scheme.no_hooks))
 
 (* ---------- the live-object table ---------- *)
 
@@ -224,6 +269,113 @@ let test_pop_outer_token () =
   Alcotest.(check (list int)) "unknown token unwinds every frame" [ 0x400 ]
     (List.map (fun (o : Live.obj) -> o.lo) (Live.pop t 99))
 
+(* ---------- the site-stream recorder ---------- *)
+
+(* A recorder event with every field spelled out. *)
+type ev =
+  | Alloc of int * int  (* obj, size *)
+  | Dead of int
+  | Acc of int * Scheme.op * int * int * int  (* clock, op, obj, off, width *)
+  | Chk of int * int * int * int * access  (* clock, obj, off, len, dir *)
+
+let decode t =
+  let l = ref [] in
+  Sitestream.iter t
+    ~alloc:(fun obj size -> l := Alloc (obj, size) :: !l)
+    ~dead:(fun obj -> l := Dead obj :: !l)
+    ~acc:(fun idx w ->
+        l :=
+          Acc (idx, Sitestream.acc_op w, Sitestream.obj_of w, Sitestream.acc_off w,
+               Sitestream.acc_width w)
+          :: !l)
+    ~chk:(fun idx obj off len dir -> l := Chk (idx, obj, off, len, dir) :: !l);
+  List.rev !l
+
+(* The reference recorder: the same observations as a list of boxed
+   events, built the plainest way. *)
+let reference (inner : Scheme.t) =
+  let live = Live.create () in
+  let log = ref [] and clock = ref 0 in
+  let referent p =
+    if p.bnd <> None then None else Live.lookup live (Scheme.addr inner p)
+  in
+  let before op =
+    match op with
+    | Scheme.Load | Scheme.Store | Scheme.Load_ptr | Scheme.Store_ptr ->
+      Some
+        (fun _ p width _ ->
+           let ev =
+             match referent p with
+             | Some o -> Acc (!clock, op, o.Live.id, Scheme.addr inner p - o.Live.lo, width)
+             | None -> Acc (!clock, op, -1, 0, width)
+           in
+           incr clock;
+           log := ev :: !log)
+    | Scheme.Check_range ->
+      Some
+        (fun _ p len dir ->
+           match referent p with
+           | Some o ->
+             log := Chk (!clock, o.Live.id, Scheme.addr inner p - o.Live.lo, len, dir) :: !log
+           | None -> ())
+    | _ -> None
+  in
+  let s =
+    Scheme.intercept
+      {
+        Scheme.no_hooks with
+        live = Some live;
+        birth = Some (fun o -> log := Alloc (o.Live.id, o.Live.hi - o.Live.lo) :: !log);
+        death = Some (fun o -> log := Dead o.Live.id :: !log);
+        before;
+      }
+      inner
+  in
+  (s, fun () -> List.rev !log)
+
+let prefix n l = List.filteri (fun i _ -> i < n) l
+
+(* Seeded cells: a workload and a scheme, recorded twice in one run,
+   once in full and once under a cap that usually cuts the log short.
+   The compact logs must decode to the reference's, cut to the cap, and
+   be marked truncated exactly when the cap cut them. *)
+let test_sitestream_model () =
+  let workloads =
+    [| "kmeans"; "matrixmul"; "string_match"; "mcf"; "blackscholes"; "pca"; "dedup";
+       "xalancbmk"; "wordcount"; "astar" |]
+  in
+  let schemes = [| "sgxbounds"; "asan"; "mpx"; "native" |] in
+  for seed = 1 to 10 do
+    let rng = Random.State.make [| seed |] in
+    let w = Registry.find workloads.(Random.State.int rng (Array.length workloads)) in
+    let scheme = schemes.(Random.State.int rng (Array.length schemes)) in
+    let cap = 1 + Random.State.int rng 3000 in
+    let logs = ref [] and want = ref None in
+    let wrap s =
+      let s, events = reference s in
+      want := Some events;
+      List.fold_left
+        (fun s cap ->
+           let s, t = Sitestream.wrap ~cap s in
+           logs := (cap, t) :: !logs;
+           s)
+        s [ 4_000_000; cap ]
+    in
+    ignore (Harness.run_one ~wrap ~n:(Analyze.smoke_n w) ~scheme w);
+    let want = (Option.get !want) () in
+    let n = List.length want in
+    List.iter
+      (fun (cap, t) ->
+         let what =
+           Printf.sprintf "seed %d: %s/%s (%d events) cap %d" seed w.Registry.name scheme n cap
+         in
+         Alcotest.(check bool) (what ^ ": truncated iff over the cap") (n > cap)
+           (Sitestream.truncated t);
+         if decode t <> prefix cap want then
+           Alcotest.failf "%s: the log differs from the reference" what)
+      !logs
+  done
+
 (* The recorder's log grows past its first buffer in order, and a cap
    keeps a prefix of it and marks the stream truncated. *)
 let test_sitestream_cap () =
@@ -237,16 +389,61 @@ let test_sitestream_cap () =
     t
   in
   let full = record 10_000 and capped = record 5 in
-  Alcotest.(check int) "one birth and 2500 accesses" 2501 (Array.length (Sitestream.events full));
+  Alcotest.(check int) "one birth and 2500 accesses" 2501 (List.length (decode full));
   Alcotest.(check bool) "under the cap: not truncated" false (Sitestream.truncated full);
   Alcotest.(check bool) "over the cap: truncated" true (Sitestream.truncated capped);
+  Alcotest.(check int) "the op clock runs on past the cap" 2500 (Sitestream.ops capped);
   Alcotest.(check bool) "the capped log is the prefix" true
-    (Sitestream.events capped = Array.sub (Sitestream.events full) 0 5);
+    (decode capped = prefix 5 (decode full));
   Alcotest.(check bool) "events in op order" true
-    (Array.for_all Fun.id
-       (Array.mapi
-          (fun i e -> match e with Sitestream.Acc { idx; _ } -> idx = i - 1 | _ -> i = 0)
-          (Sitestream.events full)))
+    (List.for_all Fun.id
+       (List.mapi
+          (fun i e -> match e with Acc (idx, _, _, _, _) -> idx = i - 1 | _ -> i = 0)
+          (decode full)))
+
+(* The log's chunks hold 2^16 words. After one birth, check events
+   (two words each) start at odd words, so one straddles the first
+   chunk boundary; its length word must land in the next chunk. *)
+let test_sitestream_chunk_boundary () =
+  let ms = Memsys.create (Config.default ()) in
+  let s, t = Sitestream.wrap (Sb_protection.Native.make ms) in
+  let p = s.Scheme.malloc 64 in
+  for len = 1 to 40_000 do s.Scheme.check_range p len Read done;
+  let want = Alloc (0, 64) :: List.init 40_000 (fun i -> Chk (0, 0, 0, i + 1, Read)) in
+  Alcotest.(check bool) "every check and its length decode in order" true (decode t = want)
+
+(* Every field at its largest value decodes exactly; one past it raises
+   instead of spilling into the next field. The logging scheme places
+   objects anywhere, so offsets and sizes can reach the limits. *)
+let test_sitestream_field_limits () =
+  let ms = Memsys.create (Config.default ()) in
+  let l = { calls = []; raising = None; current = Scheme.Malloc } in
+  let s, t = Sitestream.wrap (logging ms l) in
+  let max_off = (1 lsl 31) - 1 in
+  let p = s.Scheme.malloc max_off in
+  let at off = { v = p.v + off; bnd = None } in
+  ignore (s.Scheme.load (at (max_off - 1)) 15);
+  s.Scheme.store_ptr (at 0) p;
+  s.Scheme.check_range (at (max_off - 1)) max_int Write;
+  s.Scheme.free p;
+  ignore (s.Scheme.load (at 0) 1);
+  Alcotest.(check bool) "largest fields decode exactly" true
+    (decode t
+     = [ Alloc (0, max_off); Acc (0, Scheme.Load, 0, max_off - 1, 15);
+         Acc (1, Scheme.Store_ptr, 0, 0, 8); Chk (2, 0, max_off - 1, max_int, Write); Dead 0;
+         Acc (2, Scheme.Load, -1, 0, 1) ]);
+  let too_big what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: recorded without complaint" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ ": the recorder says so") true
+        (String.length msg > 10 && String.sub msg 0 10 = "Sitestream")
+  in
+  too_big "size 2^31" (fun () -> ignore (s.Scheme.malloc (1 lsl 31)));
+  too_big "width 16" (fun () -> ignore (s.Scheme.load (at 0) 16));
+  too_big "negative width" (fun () -> ignore (s.Scheme.load (at 0) (-1)));
+  too_big "a cap past the object field" (fun () ->
+      ignore (Sitestream.wrap ~cap:(1 lsl 24) (logging ms l)))
 
 (* ---------- Live against a naive reference ---------- *)
 
@@ -449,12 +646,20 @@ let suite =
     (fun w -> Alcotest.test_case (fst w ^ " forwards every op") `Quick (test_forwarding w))
     wrappers
   @ [
+    Alcotest.test_case "also: observers stack in one intercept, in layer order" `Quick
+      test_also_order;
     Alcotest.test_case "live: birth indices across realloc and free" `Quick
       test_births_across_realloc_free;
     Alcotest.test_case "live: size-0 objects" `Quick test_size_zero;
     Alcotest.test_case "live: pop with an outer frame's token" `Quick test_pop_outer_token;
     Alcotest.test_case "sitestream: the log grows in order and caps to a prefix" `Quick
       test_sitestream_cap;
+    Alcotest.test_case "sitestream: seeded model check against a list recorder" `Quick
+      test_sitestream_model;
+    Alcotest.test_case "sitestream: fields decode exactly up to their limits" `Quick
+      test_sitestream_field_limits;
+    Alcotest.test_case "sitestream: a two-word event across a chunk boundary" `Quick
+      test_sitestream_chunk_boundary;
     Alcotest.test_case "live: seeded model check against a naive table" `Quick test_live_model;
     Alcotest.test_case "live: warm lookups and coverage allocate nothing" `Quick
       test_live_hits_do_not_allocate;
