@@ -13,8 +13,11 @@ echo "== per-access modules compare inline (no polymorphic compare)"
 # ...) rather than an inline compare. The modules on the per-access path
 # must reference none: annotate the compared values' types instead.
 poly_bad=0
-for m in Live Scheme Audit Symex Sitestream Optimized Memsys Vmem Cache Hierarchy Epc; do
-  obj=$(find _build/default/lib -path '*/native/*' -name "*__$m.o")
+for m in Live Scheme Audit Symex Sitestream Optimized Memsys Vmem Cache Hierarchy Epc \
+  Ptr Native Sgxbounds Tagged Asan Mpx Baggy; do
+  # a library's main module (Sgxbounds) has no "lib__" prefix
+  lc=$(echo "$m" | tr 'A-Z' 'a-z')
+  obj=$(find _build/default/lib -path '*/native/*' \( -name "*__$m.o" -o -name "$lc.o" \))
   if [ -z "$obj" ]; then
     echo "$m: no native object under _build/default/lib" >&2
     poly_bad=1

@@ -30,7 +30,7 @@ let () =
 
   (* the metadata area sits right after the object: LB, then the plugin
      slots, in registration order *)
-  let ub = Sgxbounds.Tagged.ub_of p.v in
+  let ub = Sgxbounds.Tagged.ub_of (Scheme.word s p) in
   let vm = Memsys.vmem ms in
   Fmt.pr "metadata area at 0x%x: LB=0x%x  magic=0x%x  site=%d@." ub
     (Sb_vmem.Vmem.load vm ~addr:ub ~width:4)

@@ -28,7 +28,7 @@ open Sb_protection.Types
    exactly the non-atomicity of a compiled MPX pointer store. *)
 let race (s : Scheme.t) ~slot ~obj1 ~obj2 =
   let store_racy q () =
-    Memsys.store s.Scheme.ms ~addr:(s.Scheme.addr_of slot) ~width:8 q.v;
+    Memsys.store s.Scheme.ms ~addr:(s.Scheme.addr_of slot) ~width:8 (Scheme.word s q);
     Mt.yield ();           (* the other thread runs here *)
     s.Scheme.store_ptr slot q
   in
@@ -36,7 +36,7 @@ let race (s : Scheme.t) ~slot ~obj1 ~obj2 =
   (* one more half-finished update: thread A's data store lands after
      thread B's complete update *)
   s.Scheme.store_ptr slot obj1;
-  Memsys.store s.Scheme.ms ~addr:(s.Scheme.addr_of slot) ~width:8 obj2.v;
+  Memsys.store s.Scheme.ms ~addr:(s.Scheme.addr_of slot) ~width:8 (Scheme.word s obj2);
   s.Scheme.load_ptr slot
 
 let attempt name make =

@@ -54,7 +54,7 @@ let request_bytes = 32
 (* every request's wire bytes: the model never looks inside them *)
 let request = String.make request_bytes 'r'
 
-let null = { v = 0; bnd = None }
+let null = Sb_protection.Ptr.of_word 0
 
 let create ?(nbuckets = 8192) ?(value_bytes = 96) ?(max_items = max_int) ctx =
   let world = Sb_scone.Scone.create ctx.s in
@@ -105,12 +105,15 @@ let lru_next t it = t.ctx.s.Scheme.load_ptr (t.ctx.s.Scheme.offset it 16)
 let set_lru_prev t it p = t.ctx.s.Scheme.store_ptr (t.ctx.s.Scheme.offset it 8) p
 let set_lru_next t it p = t.ctx.s.Scheme.store_ptr (t.ctx.s.Scheme.offset it 16) p
 
+(* Pointer identity: the same machine word. *)
+let same t p q = Scheme.word t.ctx.s p = Scheme.word t.ctx.s q
+
 let lru_unlink t it =
   let p = lru_prev t it and n = lru_next t it in
   if not (is_null t.ctx p) then set_lru_next t p n;
   if not (is_null t.ctx n) then set_lru_prev t n p;
-  if t.lru_head.v = it.v then t.lru_head <- n;
-  if t.lru_tail.v = it.v then t.lru_tail <- p
+  if same t t.lru_head it then t.lru_head <- n;
+  if same t t.lru_tail it then t.lru_tail <- p
 
 let lru_push_head t it =
   set_lru_prev t it null;
@@ -121,7 +124,7 @@ let lru_push_head t it =
 
 (* item_touch: move to the MRU position (memcached does this on get) *)
 let lru_touch t it =
-  if t.lru_head.v <> it.v then begin
+  if not (same t t.lru_head it) then begin
     lru_unlink t it;
     lru_push_head t it
   end
@@ -141,7 +144,7 @@ let chain_unlink t key it =
   let rec go link =
     let node = t.ctx.s.Scheme.load_ptr link in
     if is_null t.ctx node then ()
-    else if node.v = it.v then
+    else if same t node it then
       t.ctx.s.Scheme.store_ptr link (t.ctx.s.Scheme.load_ptr node)
     else go node
   in

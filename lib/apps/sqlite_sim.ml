@@ -49,7 +49,7 @@ let new_node t ~leaf =
   n
 
 let create ctx =
-  let t = { ctx; root = { v = 0; bnd = None } } in
+  let t = { ctx; root = Sb_protection.Ptr.of_word 0 } in
   t.root <- new_node t ~leaf:true;
   t
 

@@ -22,6 +22,7 @@
 module Memsys = Sb_sgx.Memsys
 module Vmem = Sb_vmem.Vmem
 module Scheme = Sb_protection.Scheme
+module Ptr = Sb_protection.Ptr
 module Base = Sb_protection.Base
 open Sb_protection.Types
 
@@ -151,14 +152,14 @@ let make ?(opts = default_opts) ms : Scheme.t =
     poison_range sh rz_start (payload + size + redzone - rz_start) sh_rz;
     unpoison_object sh payload size;
     extras.redzone_bytes <- extras.redzone_bytes + (2 * redzone);
-    { v = payload; bnd = None }
+    Ptr.of_word payload
   in
   let really_free payload =
     let chunk = payload - redzone in
     if Sb_alloc.Freelist.is_live heap chunk then Sb_alloc.Freelist.free heap chunk
   in
   let free p =
-    let payload = p.v in
+    let payload = Ptr.raw p in
     let chunk = payload - redzone in
     if not (Sb_alloc.Freelist.is_live heap chunk) then
       report payload Write 0 "invalid free (wild pointer or double free)"
@@ -182,40 +183,40 @@ let make ?(opts = default_opts) ms : Scheme.t =
   in
   let calloc n size =
     let p = malloc (n * size) in
-    Memsys.fill ms ~addr:p.v ~len:(n * size) ~byte:0;
+    Memsys.fill ms ~addr:(Ptr.raw p) ~len:(n * size) ~byte:0;
     p
   in
   let realloc p size =
-    if p.v = 0 then malloc size
+    if Ptr.raw p = 0 then malloc size
     else begin
-      let old_size = Sb_alloc.Freelist.chunk_size heap (p.v - redzone) - (2 * redzone) in
+      let old_size = Sb_alloc.Freelist.chunk_size heap (Ptr.raw p - redzone) - (2 * redzone) in
       let q = malloc size in
-      Memsys.blit ms ~src:p.v ~dst:q.v ~len:(min old_size size);
+      Memsys.blit ms ~src:(Ptr.raw p) ~dst:(Ptr.raw q) ~len:(min old_size size);
       free p;
       q
     end
   in
   let load p width =
-    check p.v width Read;
-    Memsys.load ms ~addr:p.v ~width
+    check (Ptr.raw p) width Read;
+    Memsys.load ms ~addr:(Ptr.raw p) ~width
   in
   let store p width v =
-    check p.v width Write;
-    Memsys.store ms ~addr:p.v ~width v
+    check (Ptr.raw p) width Write;
+    Memsys.store ms ~addr:(Ptr.raw p) ~width v
   in
-  let raw_load p width = Memsys.load ms ~addr:p.v ~width in
-  let raw_store p width v = Memsys.store ms ~addr:p.v ~width v in
+  let raw_load p width = Memsys.load ms ~addr:(Ptr.raw p) ~width in
+  let raw_store p width v = Memsys.store ms ~addr:(Ptr.raw p) ~width v in
   let libc_check p len access =
     (* Interceptor checks the whole range through shadow. *)
     if len > 0 then begin
       extras.checks_done <- extras.checks_done + 1;
-      let s0 = shadow_addr sh p.v and s1 = shadow_addr sh (p.v + len - 1) in
-      ensure sh p.v;
-      ensure sh (p.v + len - 1);
+      let s0 = shadow_addr sh (Ptr.raw p) and s1 = shadow_addr sh (Ptr.raw p + len - 1) in
+      ensure sh (Ptr.raw p);
+      ensure sh (Ptr.raw p + len - 1);
       Memsys.touch_range ~cls:Memsys.Shadow ms ~addr:s0 ~len:(s1 - s0 + 1);
       Memsys.charge_alu ms ((s1 - s0 + 1) / 8 + 2);
       let vm = Memsys.vmem ms in
-      for a = p.v to p.v + len - 1 do
+      for a = Ptr.raw p to Ptr.raw p + len - 1 do
         let s = Vmem.load vm ~addr:(shadow_addr sh a) ~width:1 in
         if s <> 0 && (s >= 8 || a land 7 >= s) then
           raise
@@ -230,6 +231,7 @@ let make ?(opts = default_opts) ms : Scheme.t =
     Scheme.name = "asan";
     ms;
     extras;
+    bounds = Ptr.table ();
     malloc;
     calloc;
     realloc;
@@ -243,7 +245,7 @@ let make ?(opts = default_opts) ms : Scheme.t =
          poison_range sh rz_start (payload + size + redzone - rz_start) sh_rz;
          unpoison_object sh payload size;
          extras.redzone_bytes <- extras.redzone_bytes + (2 * redzone);
-         { v = payload; bnd = None });
+         Ptr.of_word payload);
     stack_push =
       (fun () ->
          let tok = Sb_alloc.Stackmem.push_frame (Base.stack base) in
@@ -261,7 +263,7 @@ let make ?(opts = default_opts) ms : Scheme.t =
          (match !stack_frames with
           | (_, vars) :: _ -> vars := (a, size + (2 * redzone)) :: !vars
           | [] -> ());
-         { v = payload; bnd = None });
+         Ptr.of_word payload);
     stack_pop =
       (fun tok ->
          (* Unpoison the frame's shadow so reused stack memory is clean. *)
@@ -271,8 +273,8 @@ let make ?(opts = default_opts) ms : Scheme.t =
             stack_frames := rest
           | _ -> ());
          Sb_alloc.Stackmem.pop_frame (Base.stack base) tok);
-    offset = (fun p delta -> { p with v = p.v + delta });
-    addr_of = (fun p -> p.v);
+    offset = (fun p delta -> Ptr.of_word (Ptr.raw p + delta));
+    addr_of = (fun p -> Ptr.raw p);
     load;
     store;
     safe_load =
@@ -289,20 +291,20 @@ let make ?(opts = default_opts) ms : Scheme.t =
     store_unchecked = store;
     load_ptr =
       (fun p ->
-         check p.v 8 Read;
-         { v = Memsys.load ms ~addr:p.v ~width:8; bnd = None });
+         check (Ptr.raw p) 8 Read;
+         Ptr.of_word (Memsys.load ms ~addr:(Ptr.raw p) ~width:8));
     store_ptr =
       (fun p q ->
-         check p.v 8 Write;
-         Memsys.store ms ~addr:p.v ~width:8 q.v);
+         check (Ptr.raw p) 8 Write;
+         Memsys.store ms ~addr:(Ptr.raw p) ~width:8 (Ptr.raw q));
     load_ptr_unchecked =
       (fun p ->
-         check p.v 8 Read;
-         { v = Memsys.load ms ~addr:p.v ~width:8; bnd = None });
+         check (Ptr.raw p) 8 Read;
+         Ptr.of_word (Memsys.load ms ~addr:(Ptr.raw p) ~width:8));
     store_ptr_unchecked =
       (fun p q ->
-         check p.v 8 Write;
-         Memsys.store ms ~addr:p.v ~width:8 q.v);
+         check (Ptr.raw p) 8 Write;
+         Memsys.store ms ~addr:(Ptr.raw p) ~width:8 (Ptr.raw q));
     libc_check;
     libc_touch = Scheme.no_touch;
   }

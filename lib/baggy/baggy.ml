@@ -20,6 +20,7 @@
 module Memsys = Sb_sgx.Memsys
 module Vmem = Sb_vmem.Vmem
 module Scheme = Sb_protection.Scheme
+module Ptr = Sb_protection.Ptr
 open Sb_protection.Types
 
 let slot = 16
@@ -53,71 +54,72 @@ let make ?(region_bytes = 8 * 1024 * 1024) ms : Scheme.t =
        derivation stays uniform. *)
     let a = Sb_alloc.Buddy.alloc buddy (max size slot) in
     set_size a (Sb_alloc.Buddy.block_size buddy a);
-    { v = a; bnd = None }
+    Ptr.of_word a
   in
   let check p width access =
     extras.checks_done <- extras.checks_done + 1;
     Memsys.charge_alu ms 3;
-    let order = Memsys.load ~cls:Memsys.Bounds_table ms ~addr:(table_addr p.v) ~width:1 in
+    let order = Memsys.load ~cls:Memsys.Bounds_table ms ~addr:(table_addr (Ptr.raw p)) ~width:1 in
     if order = 0 then
       raise
         (Violation
-           { scheme = "baggy"; addr = p.v; access; width; lo = 0; hi = 0;
+           { scheme = "baggy"; addr = Ptr.raw p; access; width; lo = 0; hi = 0;
              reason = "no allocation covers this address" })
     else begin
       let size = 1 lsl order in
-      let base = p.v land lnot (size - 1) in
-      if p.v + width > base + size then
+      let base = Ptr.raw p land lnot (size - 1) in
+      if Ptr.raw p + width > base + size then
         raise
           (Violation
-             { scheme = "baggy"; addr = p.v; access; width; lo = base; hi = base + size;
+             { scheme = "baggy"; addr = Ptr.raw p; access; width; lo = base; hi = base + size;
                reason = "allocation bounds violated" })
     end
   in
   let malloc size =
     let a = Sb_alloc.Buddy.alloc buddy (max size slot) in
     set_size a (Sb_alloc.Buddy.block_size buddy a);
-    { v = a; bnd = None }
+    Ptr.of_word a
   in
   let free p =
-    if Sb_alloc.Buddy.is_live buddy p.v then begin
-      let size = Sb_alloc.Buddy.block_size buddy p.v in
+    if Sb_alloc.Buddy.is_live buddy (Ptr.raw p) then begin
+      let size = Sb_alloc.Buddy.block_size buddy (Ptr.raw p) in
       let n = Sb_machine.Util.ceil_div size slot in
       let vm = Memsys.vmem ms in
       for i = 0 to n - 1 do
-        Vmem.store vm ~addr:(table_addr p.v + i) ~width:1 0
+        Vmem.store vm ~addr:(table_addr (Ptr.raw p) + i) ~width:1 0
       done;
-      Sb_alloc.Buddy.free buddy p.v
+      Sb_alloc.Buddy.free buddy (Ptr.raw p)
     end
   in
   let calloc n size =
     let p = malloc (n * size) in
-    Memsys.fill ms ~addr:p.v ~len:(n * size) ~byte:0;
+    Memsys.fill ms ~addr:(Ptr.raw p) ~len:(n * size) ~byte:0;
     p
   in
   let realloc p size =
-    if p.v = 0 then malloc size
+    if Ptr.raw p = 0 then malloc size
     else begin
-      let old_size = Sb_alloc.Buddy.block_size buddy p.v in
+      let old_size = Sb_alloc.Buddy.block_size buddy (Ptr.raw p) in
       let q = malloc size in
-      Memsys.blit ms ~src:p.v ~dst:q.v ~len:(min old_size size);
+      Memsys.blit ms ~src:(Ptr.raw p) ~dst:(Ptr.raw q) ~len:(min old_size size);
       free p;
       q
     end
   in
   let load p width =
     check p width Read;
-    Memsys.load ms ~addr:p.v ~width
+    Memsys.load ms ~addr:(Ptr.raw p) ~width
   in
   let store p width v =
     check p width Write;
-    Memsys.store ms ~addr:p.v ~width v
+    Memsys.store ms ~addr:(Ptr.raw p) ~width v
   in
   let frames : (int list ref * int) list ref = ref [] in
   {
     Scheme.name = "baggy";
     ms;
     extras;
+    bounds = Ptr.table ();
     malloc;
     calloc;
     realloc;
@@ -132,46 +134,46 @@ let make ?(region_bytes = 8 * 1024 * 1024) ms : Scheme.t =
       (fun size ->
          let p = stacks_and_globals_block size in
          (match !frames with
-          | (vars, _) :: _ -> vars := p.v :: !vars
+          | (vars, _) :: _ -> vars := Ptr.raw p :: !vars
           | [] -> ());
          p);
     stack_pop =
       (fun tok ->
          match !frames with
          | (vars, t) :: rest when t = tok ->
-           List.iter (fun a -> free { v = a; bnd = None }) !vars;
+           List.iter (fun a -> free (Ptr.of_word a)) !vars;
            frames := rest
          | _ -> ());
     offset =
       (fun p delta ->
          Memsys.charge_alu ms 1;
-         { p with v = p.v + delta });
-    addr_of = (fun p -> p.v);
+         Ptr.of_word (Ptr.raw p + delta));
+    addr_of = (fun p -> Ptr.raw p);
     load;
     store;
     safe_load =
       (fun p width ->
          extras.checks_elided <- extras.checks_elided + 1;
-         Memsys.load ms ~addr:p.v ~width);
+         Memsys.load ms ~addr:(Ptr.raw p) ~width);
     safe_store =
       (fun p width v ->
          extras.checks_elided <- extras.checks_elided + 1;
-         Memsys.store ms ~addr:p.v ~width v);
+         Memsys.store ms ~addr:(Ptr.raw p) ~width v);
     check_range = (fun _ _ _ -> ());
     load_unchecked = load;
     store_unchecked = store;
     load_ptr =
       (fun p ->
          check p 8 Read;
-         { v = Memsys.load ms ~addr:p.v ~width:8; bnd = None });
+         Ptr.of_word (Memsys.load ms ~addr:(Ptr.raw p) ~width:8));
     store_ptr =
       (fun p q ->
          check p 8 Write;
-         Memsys.store ms ~addr:p.v ~width:8 q.v);
+         Memsys.store ms ~addr:(Ptr.raw p) ~width:8 (Ptr.raw q));
     load_ptr_unchecked =
-      (fun p -> { v = Memsys.load ms ~addr:p.v ~width:8; bnd = None });
+      (fun p -> Ptr.of_word (Memsys.load ms ~addr:(Ptr.raw p) ~width:8));
     store_ptr_unchecked =
-      (fun p q -> Memsys.store ms ~addr:p.v ~width:8 q.v);
+      (fun p q -> Memsys.store ms ~addr:(Ptr.raw p) ~width:8 (Ptr.raw q));
     libc_check = (fun p len access -> if len > 0 then check p len access);
     libc_touch = Scheme.no_touch;
   }

@@ -26,6 +26,7 @@ module Meta = Meta
 module Memsys = Sb_sgx.Memsys
 module Scheme = Sb_protection.Scheme
 module Base = Sb_protection.Base
+module Ptr = Sb_protection.Ptr
 open Sb_protection.Types
 
 (** §4.4 optimizations. [safe_elision]: drop checks (and pointer-
@@ -52,6 +53,8 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
   let base = Base.create ms in
   let heap = base.Base.heap in
   let extras = fresh_extras () in
+  (* narrowed field bounds (see [narrow]) *)
+  let bounds = Ptr.table () in
   let overlay = Boundless.create () in
   let meta_bytes =
     lb_slot_bytes + List.fold_left (fun a (p : Meta.plugin) -> a + p.slot_bytes) 0 plugins
@@ -78,8 +81,15 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
          p.hooks.on_create ~ms ~objbase:addr ~objsize:size ~meta_addr:!slot;
          slot := !slot + p.slot_bytes)
       plugins;
-    { v = Tagged.make ~addr ~ub; bnd = None }
+    Ptr.of_word (Tagged.make ~addr ~ub)
   in
+  (* A narrowed pointer keeps its address in the pointer and its tag in
+     the bounds table. It is a negative int, which no tagged word is, so
+     the common pointer costs a sign test here rather than a call; and
+     the low half of either form is the address. *)
+  let[@inline] narrowed p = Ptr.raw p < 0 && Ptr.has_bounds p in
+  let word p = if narrowed p then Ptr.word bounds p else Ptr.raw p in
+  let addr_of p = Tagged.addr_of (Ptr.raw p) in
 
   let violate ~addr ~access ~width ~lo ~hi reason =
     extras.violations <- extras.violations + 1;
@@ -91,38 +101,42 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
 
   (* The §3.2 check sequence: extract p and UB (register moves), load LB
      through the cache (it sits in the object's footer, typically the
-     same or the next cache line), compare. Returns the raw address and
-     whether the access must be redirected to the overlay. *)
+     same or the next cache line), compare. Returns the raw address, or
+     its complement (a negative int) when the access must be redirected
+     to the overlay: one int, so the check allocates nothing. *)
   let check p width access =
     extras.checks_done <- extras.checks_done + 1;
     (* extract + compare + branch: 3 uops that co-issue with the access
        on an out-of-order core; ~2 cycles of critical path *)
     Memsys.charge_alu ms 2;
-    match p.bnd with
-    | Some b ->
+    if narrowed p then begin
       (* §8 "catching intra-object overflows": narrowed field bounds are
          carried in registers next to the pointer (see [narrow]); no LB
          load is needed, the register pair is authoritative *)
-      let a = Tagged.addr_of p.v in
-      if a < b.lo || a + width > b.hi then begin
-        violate ~addr:a ~access ~width ~lo:b.lo ~hi:b.hi "narrowed field bounds violated";
-        (a, true)
+      let a = Ptr.addr p in
+      if Ptr.within bounds p width then a
+      else begin
+        violate ~addr:a ~access ~width ~lo:(Ptr.lo bounds p) ~hi:(Ptr.hi bounds p)
+          "narrowed field bounds violated";
+        lnot a
       end
-      else (a, false)
-    | None ->
-    let a = Tagged.addr_of p.v and ub = Tagged.ub_of p.v in
-    if ub = 0 then begin
-      violate ~addr:a ~access ~width ~lo:0 ~hi:0 "dereference of untagged pointer";
-      (a, true)
     end
     else begin
-      let lb = Memsys.load ~cls:Memsys.Footer_meta ms ~addr:ub ~width:4 in
-      Memsys.charge_alu ms 1;
-      if a < lb || a + width > ub then begin
-        violate ~addr:a ~access ~width ~lo:lb ~hi:ub "bounds violated";
-        (a, true)
+      let w = Ptr.raw p in
+      let a = Tagged.addr_of w and ub = Tagged.ub_of w in
+      if ub = 0 then begin
+        violate ~addr:a ~access ~width ~lo:0 ~hi:0 "dereference of untagged pointer";
+        lnot a
       end
-      else (a, false)
+      else begin
+        let lb = Memsys.load ~cls:Memsys.Footer_meta ms ~addr:ub ~width:4 in
+        Memsys.charge_alu ms 1;
+        if a < lb || a + width > ub then begin
+          violate ~addr:a ~access ~width ~lo:lb ~hi:ub "bounds violated";
+          lnot a
+        end
+        else a
+      end
     end
   in
 
@@ -138,15 +152,15 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
   in
 
   let load p width =
-    let a, oob = check p width Read in
-    if oob then redirect_load a width else Memsys.load ms ~addr:a ~width
+    let a = check p width Read in
+    if a < 0 then redirect_load (lnot a) width else Memsys.load ms ~addr:a ~width
   in
   let store p width v =
-    let a, oob = check p width Write in
-    if oob then redirect_store a width v else Memsys.store ms ~addr:a ~width v
+    let a = check p width Write in
+    if a < 0 then redirect_store (lnot a) width v else Memsys.store ms ~addr:a ~width v
   in
-  let raw_load p width = Memsys.load ms ~addr:(Tagged.addr_of p.v) ~width in
-  let raw_store p width v = Memsys.store ms ~addr:(Tagged.addr_of p.v) ~width v in
+  let raw_load p width = Memsys.load ms ~addr:(addr_of p) ~width in
+  let raw_store p width v = Memsys.store ms ~addr:(addr_of p) ~width v in
   let safe_load =
     if opts.safe_elision then
       (fun p width ->
@@ -172,7 +186,8 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
         extras.checks_done <- extras.checks_done + 1;
         extras.checks_hoisted <- extras.checks_hoisted + 1;
         Memsys.charge_alu ms 4;
-        let a = Tagged.addr_of p.v and ub = Tagged.ub_of p.v in
+        let w = word p in
+        let a = Tagged.addr_of w and ub = Tagged.ub_of w in
         if ub = 0 then
           violate ~addr:a ~access ~width:len ~lo:0 ~hi:0 "dereference of untagged pointer"
         else begin
@@ -203,11 +218,12 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
     specify_bounds addr size
   in
   let object_size p =
-    let ub = Tagged.ub_of p.v in
-    ub - Tagged.addr_of p.v
+    let w = word p in
+    Tagged.ub_of w - Tagged.addr_of w
   in
   let free p =
-    let addr = Tagged.addr_of p.v and ub = Tagged.ub_of p.v in
+    let w = word p in
+    let addr = Tagged.addr_of w and ub = Tagged.ub_of w in
     let slot = ref (ub + lb_slot_bytes) in
     List.iter
       (fun (pl : Meta.plugin) ->
@@ -220,15 +236,15 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
   in
   let calloc n size =
     let p = malloc (n * size) in
-    Memsys.fill ms ~addr:(Tagged.addr_of p.v) ~len:(n * size) ~byte:0;
+    Memsys.fill ms ~addr:(addr_of p) ~len:(n * size) ~byte:0;
     p
   in
   let realloc p size =
-    if Tagged.addr_of p.v = 0 then malloc size
+    if addr_of p = 0 then malloc size
     else begin
       let q = malloc size in
       let n = min (object_size p) size in
-      Memsys.blit ms ~src:(Tagged.addr_of p.v) ~dst:(Tagged.addr_of q.v) ~len:n;
+      Memsys.blit ms ~src:(addr_of p) ~dst:(addr_of q) ~len:n;
       free p;
       q
     end
@@ -241,7 +257,8 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
     if len > 0 then begin
       extras.checks_done <- extras.checks_done + 1;
       Memsys.charge_alu ms 4;
-      let a = Tagged.addr_of p.v and ub = Tagged.ub_of p.v in
+      let w = word p in
+      let a = Tagged.addr_of w and ub = Tagged.ub_of w in
       let lb = if ub = 0 then 0 else Memsys.load ~cls:Memsys.Footer_meta ms ~addr:ub ~width:4 in
       if ub = 0 || a < lb || a + len > ub then begin
         extras.violations <- extras.violations + 1;
@@ -252,10 +269,21 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
       end
     end
   in
+  let checked_load_ptr p =
+    (* The loaded word carries its own tag: bounds metadata travels with
+       the pointer through memory, no bndldx analogue needed. *)
+    let a = check p 8 Read in
+    Ptr.of_word (if a < 0 then redirect_load (lnot a) 8 else Memsys.load ms ~addr:a ~width:8)
+  in
+  let checked_store_ptr p q =
+    let a = check p 8 Write in
+    if a < 0 then redirect_store (lnot a) 8 (word q) else Memsys.store ms ~addr:a ~width:8 (word q)
+  in
   {
     Scheme.name = "sgxbounds";
     ms;
     extras;
+    bounds;
     malloc;
     calloc;
     realloc;
@@ -276,8 +304,11 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
       (fun p delta ->
          (* Instrumented pointer arithmetic: mask + or, co-issued. *)
          Memsys.charge_alu ms 1;
-         { p with v = Tagged.with_addr p.v (Tagged.addr_of p.v + delta) });
-    addr_of = (fun p -> Tagged.addr_of p.v);
+         if narrowed p then Ptr.with_addr p ((Ptr.addr p + delta) land Tagged.mask)
+         else
+           let w = Ptr.raw p in
+           Ptr.of_word (Tagged.with_addr w (Tagged.addr_of w + delta)));
+    addr_of;
     load;
     store;
     safe_load;
@@ -285,33 +316,19 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
     check_range;
     load_unchecked;
     store_unchecked;
-    load_ptr =
-      (fun p ->
-         (* The loaded word carries its own tag: bounds metadata travels
-            with the pointer through memory, no bndldx analogue needed. *)
-         let a, oob = check p 8 Read in
-         let v = if oob then redirect_load a 8 else Memsys.load ms ~addr:a ~width:8 in
-         { v; bnd = None });
-    store_ptr =
-      (fun p q ->
-         let a, oob = check p 8 Write in
-         if oob then redirect_store a 8 q.v else Memsys.store ms ~addr:a ~width:8 q.v);
+    load_ptr = checked_load_ptr;
+    store_ptr = checked_store_ptr;
     load_ptr_unchecked =
       (if opts.hoisting then fun p ->
          (* the tag travels in the loaded word: no metadata lookup at all *)
          extras.checks_elided <- extras.checks_elided + 1;
-         { v = Memsys.load ms ~addr:(Tagged.addr_of p.v) ~width:8; bnd = None }
-       else fun p ->
-         let a, oob = check p 8 Read in
-         let v = if oob then redirect_load a 8 else Memsys.load ms ~addr:a ~width:8 in
-         { v; bnd = None });
+         Ptr.of_word (Memsys.load ms ~addr:(addr_of p) ~width:8)
+       else checked_load_ptr);
     store_ptr_unchecked =
       (if opts.hoisting then fun p q ->
          extras.checks_elided <- extras.checks_elided + 1;
-         Memsys.store ms ~addr:(Tagged.addr_of p.v) ~width:8 q.v
-       else fun p q ->
-         let a, oob = check p 8 Write in
-         if oob then redirect_store a 8 q.v else Memsys.store ms ~addr:a ~width:8 q.v);
+         Memsys.store ms ~addr:(addr_of p) ~width:8 (word q)
+       else checked_store_ptr);
     libc_check;
     libc_touch = Scheme.no_touch;
   }
@@ -331,10 +348,10 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
     the ranges. *)
 let narrow (s : Scheme.t) p ~len =
   Memsys.charge_alu s.Scheme.ms 2;
-  let a = Tagged.addr_of p.v in
-  let lo, hi =
-    match p.bnd with
-    | Some b -> (max a b.lo, min (a + len) b.hi)
-    | None -> (a, a + len)
-  in
-  { p with bnd = Some { lo; hi } }
+  let bounds = s.Scheme.bounds in
+  let w = Ptr.word bounds p in
+  let a = Tagged.addr_of w in
+  let narrowed = Ptr.has_bounds p in
+  let lo = if narrowed then max a (Ptr.lo bounds p) else a in
+  let hi = if narrowed then min (a + len) (Ptr.hi bounds p) else a + len in
+  Ptr.bounded bounds ~lo ~hi ~high:(Tagged.ub_of w) a

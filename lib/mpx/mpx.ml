@@ -2,7 +2,8 @@
     §5.2 of the paper:
 
     - per-pointer bounds live in registers next to the pointer value
-      ([ptr.bnd]) — bndmk at creation, bndcl/bndcu before accesses;
+      (the scheme's register-bounds table, {!Sb_protection.Ptr}) — bndmk
+      at creation, bndcl/bndcu before accesses;
     - a pointer stored to memory spills its bounds with bndstx and loads
       them back with bndldx, through a two-level structure: Bounds
       Directory (32 KiB in the 32-bit adaptation) → on-demand 4 MiB
@@ -24,6 +25,14 @@ module Memsys = Sb_sgx.Memsys
 module Vmem = Sb_vmem.Vmem
 module Scheme = Sb_protection.Scheme
 module Base = Sb_protection.Base
+module Ptr = Sb_protection.Ptr
+(* Pointer slots are 8-byte aligned: hash the slot number. *)
+module Slot_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal (a : int) b = a = b
+    let hash loc = loc lsr 3
+  end)
 open Sb_protection.Types
 
 let bd_index_bits = 14
@@ -32,11 +41,15 @@ let bt_region_shift = Vmem.addr_bits - bd_index_bits  (* app bytes covered per B
 type bt_state = {
   ms : Memsys.t;
   bd_base : int;
-  bts : (int, int) Hashtbl.t;           (* BD index -> BT base address *)
+  mutable bts : int array;              (* BD index -> BT base address, 0 if none;
+                                           [||] until the first bndstx/bndldx *)
   bt_bytes : int;
+  bounds : Ptr.table;
   (* Semantic store: exact bounds keyed by the pointer's storage location.
-     The *traffic* for these entries goes through BD/BT simulated memory. *)
-  entries : (int, int * bound) Hashtbl.t; (* location -> (ptr value, bounds) *)
+     The *traffic* for these entries goes through BD/BT simulated memory.
+     Each entry is the spilled pointer itself: its address is the
+     recorded pointer value, its register-bounds index the bounds. *)
+  entries : Ptr.t Slot_tbl.t;
   extras : extras;
 }
 
@@ -53,9 +66,10 @@ let get_bt st addr =
   let i = bd_index addr in
   (* BD entry load. *)
   Memsys.touch ~cls:Memsys.Bounds_table st.ms ~addr:(st.bd_base + (i * 8)) ~width:8;
-  match Hashtbl.find_opt st.bts i with
-  | Some b -> b
-  | None ->
+  if Array.length st.bts = 0 then st.bts <- Array.make (1 lsl bd_index_bits) 0;
+  let b = st.bts.(i) in
+  if b <> 0 then b
+  else begin
     (* On-demand BT allocation: in the paper's SGX adaptation the #BR
        exception is forwarded into the enclave, which allocates the table
        itself. Costed as an exception round-trip. *)
@@ -66,30 +80,30 @@ let get_bt st addr =
     in
     Memsys.charge_alu ~cls:Memsys.Bounds_table st.ms 3000;
     Memsys.store ~cls:Memsys.Bounds_table st.ms ~addr:(st.bd_base + (i * 8)) ~width:8 b;
-    Hashtbl.replace st.bts i b;
+    st.bts.(i) <- b;
     st.extras.bts_allocated <- st.extras.bts_allocated + 1;
     b
+  end
 
-let bndstx st ~loc ~value ~bnd =
+let bndstx st ~loc q =
   let bt = get_bt st loc in
   Memsys.touch ~cls:Memsys.Bounds_table st.ms ~addr:(bt_entry_addr st bt loc) ~width:16;
   Memsys.charge_alu ~cls:Memsys.Bounds_table st.ms 30; (* microcoded translate, spills, entry write *)
-  match bnd with
-  | Some b -> Hashtbl.replace st.entries loc (value, b)
-  | None -> Hashtbl.remove st.entries loc
+  if Ptr.has_bounds q then Slot_tbl.replace st.entries loc q else Slot_tbl.remove st.entries loc
 
 let bndldx st ~loc ~value =
   let bt = get_bt st loc in
   Memsys.touch ~cls:Memsys.Bounds_table st.ms ~addr:(bt_entry_addr st bt loc) ~width:16;
   Memsys.charge_alu ~cls:Memsys.Bounds_table st.ms 30; (* microcoded translate, spills, entry read + compare *)
-  match Hashtbl.find_opt st.entries loc with
-  | Some (recorded, b) when recorded = value -> Some b
-  | Some _ | None -> None (* pointer modified behind MPX's back: INIT bounds *)
+  match Slot_tbl.find st.entries loc with
+  | recorded when Ptr.word st.bounds recorded = value -> recorded
+  | _ | (exception Not_found) -> Ptr.of_word value (* pointer modified behind MPX's back: INIT bounds *)
 
 let make ms : Scheme.t =
   let base = Base.create ms in
   let heap = base.Base.heap in
   let extras = fresh_extras () in
+  let bounds = Ptr.table () in
   let bd_len =
     Sb_machine.Util.align_up ((1 lsl bd_index_bits) * 8) Vmem.page_size
   in
@@ -98,13 +112,14 @@ let make ms : Scheme.t =
     {
       ms;
       bd_base;
-      bts = Hashtbl.create 64;
+      bts = [||];
       (* Architectural ratio: a 16-byte BT entry per 4-byte pointer slot
          means a full BT is 4x the address range it covers (the paper's
          32 KiB BD + 4 MiB BTs for a 32-bit space). One pointer store in
          a region still reserves the whole table. *)
       bt_bytes = 4 * (1 lsl bt_region_shift);
-      entries = Hashtbl.create 4096;
+      bounds;
+      entries = Slot_tbl.create 4096;
       extras;
     }
   in
@@ -112,52 +127,65 @@ let make ms : Scheme.t =
   (* bndcl + bndcu. A pointer without register bounds is unchecked (MPX
      compatibility with uninstrumented pointers). *)
   let check p width access =
-    match p.bnd with
-    | None -> ()
-    | Some b ->
+    if Ptr.has_bounds p then begin
       extras.checks_done <- extras.checks_done + 1;
       Memsys.charge_alu ms 2;
-      if p.v < b.lo || p.v + width > b.hi then
+      if not (Ptr.within bounds p width) then
         raise
           (Violation
-             { scheme = "mpx"; addr = p.v; access; width; lo = b.lo; hi = b.hi;
-               reason = "bndcl/bndcu failed" })
+             { scheme = "mpx"; addr = Ptr.addr p; access; width; lo = Ptr.lo bounds p;
+               hi = Ptr.hi bounds p; reason = "bndcl/bndcu failed" })
+    end
   in
   let with_bounds addr size =
     Memsys.charge_alu ms 2; (* bndmk *)
-    { v = addr; bnd = Some { lo = addr; hi = addr + size } }
+    Ptr.bounded bounds ~lo:addr ~hi:(addr + size) ~high:0 addr
   in
   let malloc size = with_bounds (Sb_alloc.Freelist.alloc heap size) size in
   let free p =
-    if Sb_alloc.Freelist.is_live heap p.v then Sb_alloc.Freelist.free heap p.v
+    if Sb_alloc.Freelist.is_live heap (Ptr.addr p) then Sb_alloc.Freelist.free heap (Ptr.addr p)
   in
   let calloc n size =
     let p = malloc (n * size) in
-    Memsys.fill ms ~addr:p.v ~len:(n * size) ~byte:0;
+    Memsys.fill ms ~addr:(Ptr.addr p) ~len:(n * size) ~byte:0;
     p
   in
   let realloc p size =
-    if p.v = 0 then malloc size
+    if Ptr.addr p = 0 then malloc size
     else begin
-      let old_size = Sb_alloc.Freelist.chunk_size heap p.v in
+      let old_size = Sb_alloc.Freelist.chunk_size heap (Ptr.addr p) in
       let q = malloc size in
-      Memsys.blit ms ~src:p.v ~dst:q.v ~len:(min old_size size);
+      Memsys.blit ms ~src:(Ptr.addr p) ~dst:(Ptr.addr q) ~len:(min old_size size);
       free p;
       q
     end
   in
   let load p width =
     check p width Read;
-    Memsys.load ms ~addr:p.v ~width
+    Memsys.load ms ~addr:(Ptr.addr p) ~width
   in
   let store p width v =
     check p width Write;
-    Memsys.store ms ~addr:p.v ~width v
+    Memsys.store ms ~addr:(Ptr.addr p) ~width v
+  in
+  (* even in a provably-safe loop the bounds themselves must be
+     materialized: bndldx cannot be elided *)
+  let load_ptr_unchecked p =
+    let a = Ptr.addr p in
+    bndldx st ~loc:a ~value:(Memsys.load ms ~addr:a ~width:8)
+  in
+  let store_ptr_unchecked p q =
+    let a = Ptr.addr p in
+    Memsys.store ms ~addr:a ~width:8 (Ptr.word bounds q);
+    (* NOT atomic with the data store: the scheduler may interleave
+       another thread here (§4.1). *)
+    bndstx st ~loc:a q
   in
   {
     Scheme.name = "mpx";
     ms;
     extras;
+    bounds;
     malloc;
     calloc;
     realloc;
@@ -170,8 +198,8 @@ let make ms : Scheme.t =
     offset =
       (fun p delta ->
          Memsys.charge_alu ms 1;
-         { p with v = p.v + delta });
-    addr_of = (fun p -> p.v);
+         Ptr.move p delta);
+    addr_of = Ptr.addr;
     load;
     store;
     (* GCC's MPX pass performs little provable-safety elision; checks
@@ -184,27 +212,13 @@ let make ms : Scheme.t =
     load_ptr =
       (fun p ->
          check p 8 Read;
-         let v = Memsys.load ms ~addr:p.v ~width:8 in
-         let bnd = bndldx st ~loc:p.v ~value:v in
-         { v; bnd });
+         load_ptr_unchecked p);
     store_ptr =
       (fun p q ->
          check p 8 Write;
-         Memsys.store ms ~addr:p.v ~width:8 q.v;
-         (* NOT atomic with the data store: the scheduler may interleave
-            another thread here (§4.1). *)
-         bndstx st ~loc:p.v ~value:q.v ~bnd:q.bnd);
-    load_ptr_unchecked =
-      (fun p ->
-         (* even in a provably-safe loop the bounds themselves must be
-            materialized: bndldx cannot be elided *)
-         let v = Memsys.load ms ~addr:p.v ~width:8 in
-         let bnd = bndldx st ~loc:p.v ~value:v in
-         { v; bnd });
-    store_ptr_unchecked =
-      (fun p q ->
-         Memsys.store ms ~addr:p.v ~width:8 q.v;
-         bndstx st ~loc:p.v ~value:q.v ~bnd:q.bnd);
+         store_ptr_unchecked p q);
+    load_ptr_unchecked;
+    store_ptr_unchecked;
     libc_check = (fun _ _ _ -> ());
     libc_touch = Scheme.no_touch;
   }

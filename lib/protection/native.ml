@@ -10,44 +10,46 @@ let make ms : Scheme.t =
   let base = Base.create ms in
   let heap = base.Base.heap in
   let extras = fresh_extras () in
-  let mk v = { v; bnd = None } in
-  let malloc size = mk (Sb_alloc.Freelist.alloc heap size) in
+  let malloc size = Ptr.of_word (Sb_alloc.Freelist.alloc heap size) in
   let free p =
     (* Freeing a dead or wild pointer is undefined behaviour; the native
        run ignores it silently, like glibc often appears to. *)
-    if Sb_alloc.Freelist.is_live heap p.v then Sb_alloc.Freelist.free heap p.v
+    if Sb_alloc.Freelist.is_live heap (Ptr.raw p) then Sb_alloc.Freelist.free heap (Ptr.raw p)
   in
   let calloc n size =
     let p = malloc (n * size) in
-    Memsys.fill ms ~addr:p.v ~len:(n * size) ~byte:0;
+    Memsys.fill ms ~addr:(Ptr.raw p) ~len:(n * size) ~byte:0;
     p
   in
   let realloc p size =
-    if p.v = 0 then malloc size
+    if Ptr.raw p = 0 then malloc size
     else begin
-      let old_size = Sb_alloc.Freelist.chunk_size heap p.v in
+      let old_size = Sb_alloc.Freelist.chunk_size heap (Ptr.raw p) in
       let q = malloc size in
-      Memsys.blit ms ~src:p.v ~dst:q.v ~len:(min old_size size);
+      Memsys.blit ms ~src:(Ptr.raw p) ~dst:(Ptr.raw q) ~len:(min old_size size);
       free p;
       q
     end
   in
-  let load p width = Memsys.load ms ~addr:p.v ~width in
-  let store p width v = Memsys.store ms ~addr:p.v ~width v in
+  let load p width = Memsys.load ms ~addr:(Ptr.raw p) ~width in
+  let store p width v = Memsys.store ms ~addr:(Ptr.raw p) ~width v in
+  let load_ptr p = Ptr.of_word (Memsys.load ms ~addr:(Ptr.raw p) ~width:8) in
+  let store_ptr p q = Memsys.store ms ~addr:(Ptr.raw p) ~width:8 (Ptr.raw q) in
   {
     Scheme.name = "native";
     ms;
     extras;
+    bounds = Ptr.table ();
     malloc;
     calloc;
     realloc;
     free;
-    global = (fun size -> mk (Sb_alloc.Bump.alloc base.Base.globals size));
+    global = (fun size -> Ptr.of_word (Sb_alloc.Bump.alloc base.Base.globals size));
     stack_push = (fun () -> Sb_alloc.Stackmem.push_frame (Base.stack base));
-    stack_alloc = (fun size -> mk (Sb_alloc.Stackmem.alloc (Base.stack base) size));
+    stack_alloc = (fun size -> Ptr.of_word (Sb_alloc.Stackmem.alloc (Base.stack base) size));
     stack_pop = (fun tok -> Sb_alloc.Stackmem.pop_frame (Base.stack base) tok);
-    offset = (fun p delta -> { p with v = p.v + delta });
-    addr_of = (fun p -> p.v);
+    offset = (fun p delta -> Ptr.of_word (Ptr.raw p + delta));
+    addr_of = (fun p -> Ptr.raw p);
     load;
     store;
     safe_load = load;
@@ -55,10 +57,10 @@ let make ms : Scheme.t =
     check_range = (fun _ _ _ -> ());
     load_unchecked = load;
     store_unchecked = store;
-    load_ptr = (fun p -> mk (Memsys.load ms ~addr:p.v ~width:8));
-    store_ptr = (fun p q -> Memsys.store ms ~addr:p.v ~width:8 q.v);
-    load_ptr_unchecked = (fun p -> mk (Memsys.load ms ~addr:p.v ~width:8));
-    store_ptr_unchecked = (fun p q -> Memsys.store ms ~addr:p.v ~width:8 q.v);
+    load_ptr;
+    store_ptr;
+    load_ptr_unchecked = load_ptr;
+    store_ptr_unchecked = store_ptr;
     libc_check = (fun _ _ _ -> ());
     libc_touch = Scheme.no_touch;
   }

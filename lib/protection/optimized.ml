@@ -19,7 +19,7 @@
       contract {!Sb_analysis.Audit} enforces);
     - a hoisted check's extent must lie within the live object, or it is
       not inserted;
-    - narrowed pointers ([p.bnd <> None]) are never elided.
+    - narrowed pointers ([Ptr.has_bounds p]) are never elided.
 
     Any certificate that fails re-verification falls back to the fully
     checked path and is counted in [fallbacks] — so a wrong (or
@@ -96,7 +96,7 @@ let wrap (plan : plan) (inner : Scheme.t) : Scheme.t * stats =
       false
     | (Elide sid | Hoist sid) as act ->
       let verified =
-        sid >= 0 && sid < Array.length plan.p_sites && p.bnd = None
+        sid >= 0 && sid < Array.length plan.p_sites && not (Ptr.has_bounds p)
         &&
         let s = plan.p_sites.(sid) in
         let a = Scheme.addr inner p in
@@ -119,7 +119,7 @@ let wrap (plan : plan) (inner : Scheme.t) : Scheme.t * stats =
      are provably within their live object (the only ones the analyzer
      may certify against). *)
   let workload_check _ p len dir =
-    if len > 0 && p.bnd = None then begin
+    if len > 0 && not (Ptr.has_bounds p) then begin
       let a = Scheme.addr inner p in
       match Live.lookup live a with
       | Some o when a + len <= o.hi -> Live.add_check o a (a + len) dir

@@ -34,6 +34,9 @@ type t = {
   name : string;
   ms : Sb_sgx.Memsys.t;
   extras : extras;
+  (* the register bounds of this instance's pointers (MPX's BNDx
+     contents, SGXBounds' narrowed fields); empty for the other schemes *)
+  bounds : Ptr.table;
   (* allocation *)
   malloc : int -> ptr;
   calloc : int -> int -> ptr;
@@ -78,6 +81,10 @@ let no_touch : string -> ptr -> int -> access -> unit = fun _ _ _ _ -> ()
 
 (** Raw untagged address of [p] under scheme [s]. *)
 let addr s p = s.addr_of p
+
+(** The machine word of [p] under scheme [s]: what [store_ptr] writes,
+    and what uninstrumented code would see. *)
+let word s p = Ptr.word s.bounds p
 
 (** Peak reserved virtual memory of the run so far — the metric of the
     paper's memory plots. *)

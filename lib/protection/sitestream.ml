@@ -17,7 +17,7 @@
     access (op kind, referent object by birth index, object-relative
     offset, width, clocked by the op counter), and every range check a
     workload issues (the dominating checks the optimizer may elide
-    against). Accesses through narrowed pointers ([p.bnd <> None]) are
+    against). Accesses through narrowed pointers ([Ptr.has_bounds p]) are
     recorded referent-less: intra-object bounds are deliberately outside
     the optimizer's certificate language. *)
 
@@ -159,7 +159,7 @@ let iter t ~alloc ~dead ~acc ~chk =
 
 (* The referent of an access: narrowed pointers have none. *)
 let referent t (inner : Scheme.t) p =
-  if p.bnd <> None then None else Live.lookup t.live (Scheme.addr inner p)
+  if Ptr.has_bounds p then None else Live.lookup t.live (Scheme.addr inner p)
 
 (** Record one checked-family access and advance the op clock. *)
 let acc t inner code p width =

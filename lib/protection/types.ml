@@ -1,23 +1,20 @@
 (** Common types of the protection-scheme interface. *)
 
-(** A simulated application pointer.
+(** A simulated application pointer: one immediate word, so pointer
+    arithmetic and pointer loads allocate nothing. See {!Ptr} for the
+    encoding.
 
-    [v] is the scheme's machine representation: for the native baseline,
-    AddressSanitizer, Baggy Bounds and Intel MPX it is the plain address;
-    for SGXBounds it is the tagged word of the paper's Figure 5 (upper
-    bound in the high half, address in the low half).
-
-    [bnd] models metadata travelling in *registers* next to the pointer —
-    only Intel MPX uses it (the contents of a BNDx register associated
-    with this pointer value). It deliberately does NOT survive a trip
-    through memory: storing a pointer and loading it back goes through
-    bndstx/bndldx, which is where MPX's multithreading troubles live. *)
-type ptr = {
-  v : int;
-  bnd : bound option;
-}
-
-and bound = { lo : int; hi : int }  (** referent object is [lo, hi) *)
+    A pointer is the scheme's machine word — the plain address for the
+    native baseline, AddressSanitizer, Baggy Bounds and Intel MPX, and
+    for SGXBounds the tagged word of the paper's Figure 5 (upper bound
+    in the high half, address in the low half) — unless it carries
+    bounds in *registers* next to it: Intel MPX's BNDx contents, or
+    SGXBounds' narrowed field bounds. Those live in the scheme's
+    register-bounds table ({!Scheme.t.bounds}), and they deliberately do
+    NOT survive a trip through memory: [store_ptr] writes {!Ptr.word},
+    and loading it back goes through bndldx under MPX, which is where
+    MPX's multithreading troubles live. *)
+type ptr = Ptr.t
 
 type access = Read | Write
 

@@ -112,7 +112,7 @@ let setup (s : Scheme.t) a =
     load — uninstrumented code from the bounds trackers' viewpoint. *)
 let launder (s : Scheme.t) p =
   let slot = s.Scheme.malloc 8 in
-  Memsys.store s.Scheme.ms ~addr:(s.Scheme.addr_of slot) ~width:8 p.v;
+  Memsys.store s.Scheme.ms ~addr:(s.Scheme.addr_of slot) ~width:8 (Scheme.word s p);
   s.Scheme.load_ptr slot
 
 let run_attack (s : Scheme.t) a =

@@ -113,13 +113,19 @@ let build ctx ~w ~h ~wall_pct =
   done;
   { w; h; nodes; heap = array ctx (4 * w * h) 8; heap_len = 0 }
 
-let neighbours g i =
-  let x = i mod g.w and y = i / g.w in
-  List.filter_map
-    (fun (dx, dy) ->
-       let nx = x + dx and ny = y + dy in
-       if nx < 0 || nx >= g.w || ny < 0 || ny >= g.h then None else Some ((ny * g.w) + nx))
-    [ (1, 0); (-1, 0); (0, 1); (0, -1) ]
+(* Relax the edge from the expanded node [nd] (path cost [gi]) to node
+   [j]. *)
+let relax ctx g ~goal nd gi j =
+  let nj = node g ctx j in
+  work ctx 8;
+  if not (closed ctx nj) then begin
+    let cand = gi + terrain ctx nj in
+    if cand < g_of ctx nj then begin
+      set_g ctx nj cand;
+      set_parent ctx nj nd;
+      heap_push ctx g (cand + manhattan g j goal) j
+    end
+  end
 
 (** A* from node 0 to node w*h-1. Returns the path as node indices from
     start to goal, if one was found. *)
@@ -138,19 +144,12 @@ let search ctx g =
       if not (closed ctx nd) then begin
         set_closed ctx nd;
         let gi = g_of ctx nd in
-        List.iter
-          (fun j ->
-             let nj = node g ctx j in
-             work ctx 8;
-             if not (closed ctx nj) then begin
-               let cand = gi + terrain ctx nj in
-               if cand < g_of ctx nj then begin
-                 set_g ctx nj cand;
-                 set_parent ctx nj nd;
-                 heap_push ctx g (cand + manhattan g j goal) j
-               end
-             end)
-          (neighbours g i)
+        (* the in-grid neighbours, in a fixed order: +x, -x, +y, -y *)
+        let x = i mod g.w and y = i / g.w in
+        if x + 1 < g.w then relax ctx g ~goal nd gi (i + 1);
+        if x > 0 then relax ctx g ~goal nd gi (i - 1);
+        if y + 1 < g.h then relax ctx g ~goal nd gi (i + g.w);
+        if y > 0 then relax ctx g ~goal nd gi (i - g.w)
       end
     end
   done;

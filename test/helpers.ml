@@ -4,6 +4,7 @@ module Config = Sb_machine.Config
 module Vmem = Sb_vmem.Vmem
 module Memsys = Sb_sgx.Memsys
 module Scheme = Sb_protection.Scheme
+module Ptr = Sb_protection.Ptr
 open Sb_protection.Types
 
 let cfg ?env ?scale () = Config.default ?env ?scale ()

@@ -26,7 +26,7 @@ let test_bounds_survive_spill_fill () =
   let obj = s.Scheme.malloc 16 in
   s.Scheme.store_ptr slot obj;            (* store + bndstx *)
   let obj' = s.Scheme.load_ptr slot in    (* load + bndldx *)
-  Alcotest.(check bool) "bounds restored" true (obj'.bnd <> None);
+  Alcotest.(check bool) "bounds restored" true (Ptr.has_bounds obj');
   check_detects "restored bounds enforced" (fun () ->
       s.Scheme.store (s.Scheme.offset obj' 16) 1 0)
 
@@ -36,9 +36,9 @@ let test_foreign_pointer_gets_infinite_bounds () =
   let _, s = fresh mpx in
   let slot = s.Scheme.malloc 8 in
   let obj = s.Scheme.malloc 16 in
-  s.Scheme.store slot 8 obj.v;            (* raw data store, no bndstx *)
+  s.Scheme.store slot 8 (Scheme.word s obj);            (* raw data store, no bndstx *)
   let obj' = s.Scheme.load_ptr slot in
-  Alcotest.(check bool) "no bounds (INIT)" true (obj'.bnd = None);
+  Alcotest.(check bool) "no bounds (INIT)" true (not (Ptr.has_bounds obj'));
   check_allows "unchecked thereafter (false negative)" (fun () ->
       s.Scheme.store (s.Scheme.offset obj' 16) 1 0)
 
@@ -74,7 +74,7 @@ let test_oom_on_bt_flood () =
      for i = 0 to 3999 do
        let region = (i + 512) lsl (Sb_vmem.Vmem.addr_bits - 12) in
        let a = Sb_vmem.Vmem.map vm ~addr:region ~len:4096 ~perm:Sb_vmem.Vmem.Read_write () in
-       s.Scheme.store_ptr { v = a; bnd = None } obj
+       s.Scheme.store_ptr (Ptr.of_word a) obj
      done
    with
    | () -> Alcotest.fail "expected the enclave to die of OOM"
@@ -107,7 +107,7 @@ let test_race_desyncs_bounds () =
   let obj1 = s.Scheme.malloc 16 in
   let obj2 = s.Scheme.malloc 32 in
   let store_interleaved q () =
-    Memsys.store m ~addr:(s.Scheme.addr_of slot) ~width:8 q.v;
+    Memsys.store m ~addr:(s.Scheme.addr_of slot) ~width:8 (Scheme.word s q);
     Sb_mt.Mt.yield ();
     (* bndstx half, after the other thread ran *)
     s.Scheme.store_ptr slot q
@@ -117,15 +117,15 @@ let test_race_desyncs_bounds () =
   (* Whichever interleaving won, prove that a desync is possible: run the
      classic bad schedule deterministically. *)
   ignore final;
-  Memsys.store m ~addr:(s.Scheme.addr_of slot) ~width:8 obj2.v; (* A: data store *)
+  Memsys.store m ~addr:(s.Scheme.addr_of slot) ~width:8 (Scheme.word s obj2); (* A: data store *)
   s.Scheme.store_ptr slot obj1;                                  (* B: full update *)
   let p = s.Scheme.load_ptr slot in
   (* Memory holds obj1 (B's data store came last in store_ptr)... make
      the desync explicit instead: *)
-  Memsys.store m ~addr:(s.Scheme.addr_of slot) ~width:8 obj2.v;  (* A's late data store *)
+  Memsys.store m ~addr:(s.Scheme.addr_of slot) ~width:8 (Scheme.word s obj2);  (* A's late data store *)
   let p2 = s.Scheme.load_ptr slot in
   Alcotest.(check bool) "desync: value is obj2 but bounds entry is obj1's"
-    true (p2.bnd = None && p.bnd <> None)
+    true ((not (Ptr.has_bounds p2)) && Ptr.has_bounds p)
 
 let prop_inbounds_never_flagged =
   QCheck.Test.make ~name:"mpx: in-bounds accesses never flagged" ~count:100

@@ -111,15 +111,15 @@ let test_int_cast_roundtrip () =
   (* ptr -> int -> ptr: the integer carries the tag (§3.2 type casts). *)
   let _, s = fresh sgxb in
   let p = s.Scheme.malloc 16 in
-  let as_int = p.v in
-  let p' = { v = as_int; bnd = None } in
+  let as_int = Scheme.word s p in
+  let p' = Ptr.of_word as_int in
   check_allows "cast-back pointer works" (fun () -> ignore (s.Scheme.load p' 1));
   check_detects "cast-back pointer still checked" (fun () ->
       ignore (s.Scheme.load (s.Scheme.offset p' 20) 1))
 
 let test_untagged_deref_detected () =
   let _, s = fresh sgxb in
-  check_detects "untagged pointer" (fun () -> ignore (s.Scheme.load { v = 0x4000; bnd = None } 4))
+  check_detects "untagged pointer" (fun () -> ignore (s.Scheme.load (Ptr.of_word 0x4000) 4))
 
 let test_realloc_preserves_data_and_bounds () =
   let _, s = fresh sgxb in
@@ -241,7 +241,7 @@ let test_origin_tracker_records_site () =
   let m = ms () in
   let s = Sgxbounds.make ~plugins:[ Sgxbounds.Meta.origin_tracker ~site:777 ] m in
   let p = s.Scheme.malloc 32 in
-  let ub = Tagged.ub_of p.v in
+  let ub = Tagged.ub_of (Scheme.word s p) in
   let site = Sb_vmem.Vmem.load (Memsys.vmem m) ~addr:(ub + 4) ~width:4 in
   Alcotest.(check int) "site recorded after LB slot" 777 site
 
