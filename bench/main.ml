@@ -953,7 +953,7 @@ let throughput_kernel ms ~buf ~buf_len ~rounds =
 (* Simulated memory accesses per host second for one engine. The engine
    selection is sampled by every component at [Memsys.create], so the
    whole machine must be built inside [with_kind]. Also returns the
-   post-run snapshot so the caller can assert the three engines agree
+   post-run snapshot so the caller can assert the two engines agree
    bit-for-bit on the kernel's simulated stats. *)
 let measure_engine ~kind ~rounds =
   Fastpath.with_kind kind (fun () ->
@@ -997,8 +997,8 @@ let best_of reps f =
   in
   go 1 (f ())
 
-(* Tri-engine agreement sweep: every workload x scheme of the harness
-   line-up, run to completion under all three engines, all simulated
+(* Engine agreement sweep: every workload x scheme of the harness
+   line-up, run to completion under both engines, all simulated
    metrics compared structurally (cycles, instrs, accesses, cache,
    EPC, attribution, checks, violations — and crash identity for cells
    that die, like MPX out of enclave memory). Returns the cell count
@@ -1021,15 +1021,12 @@ let agreement_sweep ~divisor =
   in
   let naive = run Fastpath.Naive in
   let fast = run Fastpath.Fast in
-  let trace = run Fastpath.Trace in
   let mismatches = ref [] in
   List.iteri
     (fun i ((w : Registry.spec), scheme, _) ->
-       let rn = List.nth naive i and rf = List.nth fast i and rt = List.nth trace i in
+       let rn = List.nth naive i and rf = List.nth fast i in
        if rf.Harness.outcome <> rn.Harness.outcome then
-         mismatches := (w.Registry.name, scheme, "fast") :: !mismatches;
-       if rt.Harness.outcome <> rn.Harness.outcome then
-         mismatches := (w.Registry.name, scheme, "trace") :: !mismatches)
+         mismatches := (w.Registry.name, scheme) :: !mismatches)
     cells;
   let fingerprint =
     List.fold_left
@@ -1050,44 +1047,34 @@ let agreement_sweep ~divisor =
   (List.length cells, !mismatches, fingerprint)
 
 let throughput () =
-  header "Throughput: host wall-clock simulator speed (naive / fast / trace)";
+  header "Throughput: host wall-clock simulator speed (naive / fast)";
   let rounds = if !smoke then 8 else 400 in
   let reps = if !smoke then 1 else 9 in
-  let trace_rate, accesses, trace_dt, trace_snap =
-    best_of reps (fun () -> measure_engine ~kind:Fastpath.Trace ~rounds)
-  in
-  let fast_rate, _, fast_dt, fast_snap =
+  let fast_rate, accesses, fast_dt, fast_snap =
     best_of reps (fun () -> measure_engine ~kind:Fastpath.Fast ~rounds)
   in
   let naive_rate, _, naive_dt, naive_snap =
     best_of reps (fun () -> measure_engine ~kind:Fastpath.Naive ~rounds)
   in
-  (* The three engines must agree bit-for-bit on the kernel's simulated
+  (* The two engines must agree bit-for-bit on the kernel's simulated
      stats before any speed claim is worth recording. *)
   if fast_snap <> naive_snap then
     failwith "throughput: fast engine disagrees with naive on kernel stats";
-  if trace_snap <> naive_snap then
-    failwith "throughput: trace engine disagrees with naive on kernel stats";
   let speedup = fast_rate /. naive_rate in
-  let trace_speedup = trace_rate /. naive_rate in
   let sim_maps = fast_rate /. 1e6 in
-  let trace_maps = trace_rate /. 1e6 in
-  Fmt.pr "trace engine: %8.2f M sim-accesses/s (%d accesses in %.3fs)@."
-    trace_maps accesses trace_dt;
-  Fmt.pr "fast engine : %8.2f M sim-accesses/s (%.3fs)@." sim_maps fast_dt;
+  Fmt.pr "fast engine : %8.2f M sim-accesses/s (%d accesses in %.3fs)@."
+    sim_maps accesses fast_dt;
   Fmt.pr "naive engine: %8.2f M sim-accesses/s (%.3fs)@." (naive_rate /. 1e6) naive_dt;
-  Fmt.pr "speedup     : fast %.2fx, trace %.2fx over naive (trace/fast %.2fx)@."
-    speedup trace_speedup (trace_rate /. fast_rate);
-  (* Tri-engine agreement across the full harness sweep. *)
+  Fmt.pr "speedup     : fast %.2fx over naive@." speedup;
+  (* Engine agreement across the full harness sweep. *)
   let sweep_cells, mismatches, fingerprint =
     agreement_sweep ~divisor:(if !smoke then 32 else 8)
   in
   List.iter
-    (fun (w, s, eng) ->
-       Fmt.pr "MISMATCH: %s/%s: %s engine disagrees with naive@." w s eng)
+    (fun (w, s) -> Fmt.pr "MISMATCH: %s/%s: fast engine disagrees with naive@." w s)
     mismatches;
   if mismatches <> [] then failwith "throughput: engines disagree on harness sweep";
-  Fmt.pr "tri-engine agreement: %d cells bit-identical (fingerprint 0x%x)@."
+  Fmt.pr "engine agreement: %d cells bit-identical (fingerprint 0x%x)@."
     sweep_cells fingerprint;
   (* Domain-scaling of a small experiment grid (the Figure 7/11 shape). *)
   let cells = scaling_cells ~divisor:(if !smoke then 32 else 4) in
@@ -1147,15 +1134,12 @@ let throughput () =
         ("accesses", Json.Int accesses);
         ("sim_maps", Json.Float sim_maps);
         ("naive_maps", Json.Float (naive_rate /. 1e6));
-        ("trace_maps", Json.Float trace_maps);
         ("speedup_vs_naive", Json.Float speedup);
-        ("speedup_trace_vs_naive", Json.Float trace_speedup);
-        ("speedup_trace_vs_fast", Json.Float (trace_rate /. fast_rate));
         ( "agreement",
           Json.Obj
             [
               ("cells", Json.Int sweep_cells);
-              ("engines", Json.List [ Json.Str "naive"; Json.Str "fast"; Json.Str "trace" ]);
+              ("engines", Json.List [ Json.Str "naive"; Json.Str "fast" ]);
               ("identical", Json.Bool true);
               ("fingerprint", Json.Str (Printf.sprintf "0x%x" fingerprint));
             ] );
@@ -1198,6 +1182,20 @@ let score () =
   header
     "Score: deterministic perf score — OCaml allocation words per 1000 units\n\
      of simulated work, per kernel (bit-identical across runs; no wall clock)";
+  (* A missing, corrupt or incomparable baseline fails before any kernel
+     runs, not after the whole measurement. *)
+  let baseline =
+    Option.map
+      (fun file ->
+         let b = read_json file in
+         (match Score.check_baseline ~smoke:!smoke b with
+          | Ok () -> ()
+          | Error msg ->
+            Fmt.epr "score gate: %s@." msg;
+            exit 1);
+         (file, b))
+      !baseline_file
+  in
   let ms = Score.measure_all ~smoke:!smoke in
   Fmt.pr "engine: %s%s@.@." (Score.engine ()) (if !smoke then "   (smoke inputs)" else "");
   Fmt.pr "%-22s %12s %12s %12s %12s %8s@." "kernel" "accesses" "instrs" "cycles"
@@ -1210,10 +1208,10 @@ let score () =
   Fmt.pr "%-22s %53s %8d@." "total" "" (Score.total ms);
   (* The gate: compare against the committed baseline before touching
      any file, and fail loudly without rewriting it on regression. *)
-  (match !baseline_file with
+  (match baseline with
    | None -> ()
-   | Some file ->
-     (match Score.gate ~smoke:!smoke ~tolerance_pct:!tolerance ~baseline:(read_json file) ms with
+   | Some (file, baseline) ->
+     (match Score.gate ~smoke:!smoke ~tolerance_pct:!tolerance ~baseline ms with
       | Error msg ->
         Fmt.epr "score gate: %s@." msg;
         exit 1

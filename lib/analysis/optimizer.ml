@@ -26,7 +26,7 @@
       elisions, never checks);
     + {!verify_replay} / {!fuzz_soundness} — dynamic oracles: the plan
       composed with {!Audit.wrap} must report zero findings, and the
-      tri-engine fuzz oracle must see bit-identical results and
+      two-engine fuzz oracle must see bit-identical results and
       unchanged violation verdicts. *)
 
 module Harness = Sb_harness.Harness
@@ -586,14 +586,9 @@ let opt_result ?env ?threads ?n (w : Registry.spec) =
 let ablation_with_opt ?env ?threads ?n (w : Registry.spec) =
   Harness.run_ablation ?env ?threads ?n w @ [ opt_result ?env ?threads ?n w ]
 
-(* ---------- fuzz-oracle soundness (tri-engine) ---------- *)
+(* ---------- fuzz-oracle soundness (two engines) ---------- *)
 
-let engines = [ Fastpath.Naive; Fastpath.Fast; Fastpath.Trace ]
-
-let engine_name = function
-  | Fastpath.Naive -> "naive"
-  | Fastpath.Fast -> "fast"
-  | Fastpath.Trace -> "trace"
+let engines = [ Fastpath.Naive; Fastpath.Fast ]
 
 type fuzz_report = {
   fz_traces : int;
@@ -605,7 +600,7 @@ type fuzz_report = {
 (** The fuzz-oracle soundness gate: for seeded traces (about half of
     which contain deliberate violations), record each (trace, scheme)
     cell, build and statically verify a plan, then replay optimized
-    under all three engines. The optimized replays must be bit-identical
+    under both engines. The optimized replays must be bit-identical
     to each other, must preserve the unoptimized run's verdict (stop,
     read values, counted violations, boundless accesses) per engine, may
     only remove cost, and — composed with {!Audit.wrap} — must report
@@ -670,13 +665,13 @@ let fuzz_soundness ?(seed = 11) ?(iters = 24)
            (fun i (r, _) ->
               if r <> r0 then
                 fail trace_i scheme "optimized %s engine diverges from optimized naive"
-                  (engine_name (List.nth engines i)))
+                  (Fastpath.kind_name (List.nth engines i)))
            opt;
          (* per engine: the verdict and results of the unoptimized run *)
          List.iteri
            (fun i ((o : Replay.run), (st : Optimized.stats)) ->
               let u = List.nth unopt i in
-              let en = engine_name (List.nth engines i) in
+              let en = Fastpath.kind_name (List.nth engines i) in
               elided := !elided + st.Optimized.elides;
               if o.Replay.stop <> u.Replay.stop then
                 fail trace_i scheme "[%s] stop verdict changed" en;
@@ -811,7 +806,7 @@ let selftests () : Analyze.selftest list =
         "retargeted certificate rejected at runtime, verdict kept";
     ]
   in
-  (* plan determinism across the three engines *)
+  (* plan determinism across both engines *)
   let determinism =
     let w = Registry.find "matrixmul" in
     let plan_under kind =

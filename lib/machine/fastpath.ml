@@ -1,44 +1,35 @@
 (** Engine selection for the memory-engine implementations.
 
-    The simulator keeps three behaviourally identical implementations of
+    The simulator keeps two behaviourally identical implementations of
     its hot layers (cache probe, address translation, EPC residency,
     access charging):
 
     - [Naive] — the straightforward reference code every optimisation is
       proven against;
     - [Fast] — MRU fast paths, translation memos, unboxed codecs,
-      same-line streak batching (PR 2);
-    - [Trace] — everything in [Fast], plus the superblock recorder
-      ({!Trace} + the fused paths in [Sb_sgx.Memsys]): hot strided
-      access sequences are detected at run time and executed through a
-      per-site compiled closure that performs translation memoization,
-      cache/EPC simulation and class accounting once per superblock
-      instead of once per access.
+      same-line streak batching.
 
     Selection is sampled once per component at [create] time, so a
     component never changes engine mid-life and two components with
     different engines can coexist (that is what the differential tests
-    and the tri-engine fuzz oracle do).
+    and the fuzz oracle do).
 
-    Every engine must produce bit-for-bit identical simulation results
+    Both engines must produce bit-for-bit identical simulation results
     (cycles, hit/miss counts, EPC faults, attribution) — only host
-    wall-clock may differ. [test/test_fastpath.ml] and
-    [test/test_trace.ml] pin this.
+    wall-clock and allocation may differ. [test/test_fastpath.ml] pins
+    this.
 
-    Set [SGXBOUNDS_ENGINE] to [naive], [fast] or [trace] to pick the
-    start-up engine (any other value is rejected at start-up). The
-    legacy [SGXBOUNDS_NAIVE] variable (any value) still selects the
-    naive engine when [SGXBOUNDS_ENGINE] is unset. The default is
-    [Fast]. *)
+    Set [SGXBOUNDS_ENGINE] to [naive] or [fast] to pick the start-up
+    engine; any other value is rejected at start-up (exit 2). The
+    default is [Fast]. *)
 
-type kind = Naive | Fast | Trace
+type kind = Naive | Fast
 
-let kind_name = function Naive -> "naive" | Fast -> "fast" | Trace -> "trace"
+let kind_name = function Naive -> "naive" | Fast -> "fast"
 
 let kind_of_string = function
   | "naive" -> Some Naive
   | "fast" -> Some Fast
-  | "trace" -> Some Trace
   | _ -> None
 
 let initial_kind () =
@@ -47,43 +38,24 @@ let initial_kind () =
     (match kind_of_string (String.lowercase_ascii (String.trim s)) with
      | Some k -> k
      | None ->
-       Printf.eprintf
-         "sgxbounds: unknown SGXBOUNDS_ENGINE=%S (expected naive|fast|trace)\n%!" s;
+       Printf.eprintf "sgxbounds: unknown SGXBOUNDS_ENGINE=%S (expected naive|fast)\n%!" s;
        exit 2)
-  | None -> if Sys.getenv_opt "SGXBOUNDS_NAIVE" = None then Fast else Naive
+  | None -> Fast
 
-(* Stored as an int so the cross-domain cell stays a word-sized
-   immediate: 0 = Naive, 1 = Fast, 2 = Trace. *)
-let cell : int Atomic.t =
-  Atomic.make (match initial_kind () with Naive -> 0 | Fast -> 1 | Trace -> 2)
+let is_fast = function Fast -> true | Naive -> false
 
-let kind () =
-  match Atomic.get cell with 0 -> Naive | 1 -> Fast | _ -> Trace
+(* A bool so the cross-domain cell stays a word-sized immediate. *)
+let cell : bool Atomic.t = Atomic.make (is_fast (initial_kind ()))
 
-let set_kind k =
-  Atomic.set cell (match k with Naive -> 0 | Fast -> 1 | Trace -> 2)
+let kind () = if Atomic.get cell then Fast else Naive
 
-(** [true] for any engine with fast paths ([Fast] and [Trace]): the
-    per-layer micro-optimisations of PR 2 apply to both. *)
-let is_enabled () = Atomic.get cell <> 0
-
-(** [true] only for the [Trace] engine: gates the superblock recorder. *)
-let trace_enabled () = Atomic.get cell = 2
-
-let set b = set_kind (if b then Fast else Naive)
+(** [true] under the [Fast] engine. *)
+let is_enabled () = Atomic.get cell
 
 (** Run [f] with the engine forced to [k], restoring the previous
     selection afterwards. Only components *created* inside [f] are
     affected. *)
 let with_kind k f =
   let prev = Atomic.get cell in
-  set_kind k;
+  Atomic.set cell (is_fast k);
   Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
-
-(** Back-compat boolean selector: [true] = fast, [false] = naive. *)
-let with_engine fast f = with_kind (if fast then Fast else Naive) f
-let with_naive f = with_kind Naive f
-let with_trace f = with_kind Trace f
-
-(** Name of the currently selected engine ("naive" | "fast" | "trace"). *)
-let current_name () = kind_name (kind ())

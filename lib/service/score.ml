@@ -60,7 +60,7 @@ type measurement = {
 
 let version = 1
 let word_bytes = Sys.word_size / 8
-let engine () = Fastpath.current_name ()
+let engine () = Fastpath.kind_name (Fastpath.kind ())
 
 (** [Gc.allocated_bytes]'s unit is not the same on every runtime (this
     one reports words); calibrate once against a known allocation — 64k
@@ -296,14 +296,11 @@ type verdict = {
           allocation score is only comparable over identical work. *)
 }
 
-(** Compare a fresh run against a committed baseline document: per
-    kernel, the score against the tolerance and the simulated-work
-    fields for exact equality. Fails (Error) when the comparison itself
-    is meaningless: engine or input
-    scale (smoke vs full) mismatch, or no kernel in common. A kernel
-    only present on one side is skipped — renaming kernels updates the
-    baseline, it does not break the gate. *)
-let gate ~smoke ~tolerance_pct ~baseline ms =
+(** Whether [baseline] can be compared against a run of this build at
+    all: it must be a score document from the same engine and input
+    scale (smoke vs full). Needs no measurement, so callers can reject
+    a wrong baseline before running any kernel. *)
+let check_baseline ~smoke baseline =
   let this_engine = engine () in
   match Json.member "engine" baseline with
   | None -> Error "baseline has no \"engine\" key — not a `bench score' document"
@@ -322,7 +319,18 @@ let gate ~smoke ~tolerance_pct ~baseline ms =
           only compare at equal scale"
          (if smoke then "full" else "smoke")
          (if smoke then "smoke" else "full"))
-  | Some _ ->
+  | Some _ -> Ok ()
+
+(** Compare a fresh run against a committed baseline document: per
+    kernel, the score against the tolerance and the simulated-work
+    fields for exact equality. Fails (Error) when the comparison itself
+    is meaningless: {!check_baseline} refuses it, or no kernel is in
+    common. A kernel only present on one side is skipped — renaming
+    kernels updates the baseline, it does not break the gate. *)
+let gate ~smoke ~tolerance_pct ~baseline ms =
+  match check_baseline ~smoke baseline with
+  | Error _ as e -> e
+  | Ok () ->
     let bkernels =
       match Json.member "kernels" baseline with Some (Json.List l) -> l | _ -> []
     in

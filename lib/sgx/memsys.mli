@@ -118,11 +118,9 @@ val attributed_cycles : t -> int
 (** Per-level cache hit/miss counters ([("L1", _); ("L2", _); ("LLC", _)]). *)
 val cache_stats : t -> (string * Sb_cache.Hierarchy.level_stats) list
 
-(** Trace-engine recorder counters for this machine: superblocks
-    promoted, accesses executed fused, pattern breaks, invalidations,
-    distinct compiled sites. All zeros under the naive and fast
-    engines (and when telemetry forced the recorder off). Host-side
-    observability only — never part of simulated state. *)
+(** Always {!Sb_machine.Trace.zero}. Exists only for the host-cost
+    ledger's [trace.*] columns; the ledger-consolidation item removes
+    it. *)
 val trace_stats : t -> Sb_machine.Trace.stats
 
 (** Reset clocks, stats, attribution, telemetry (counters, histograms,

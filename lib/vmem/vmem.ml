@@ -14,9 +14,9 @@ exception Enclave_oom of { requested : int; reserved : int; limit : int }
 (* A mapped page's [data] starts as the shared [zero] buffer and gets
    its own bytes on its first write ([own_data]): a mapped page costs
    host memory only once it is written. [zero] is never written — every
-   write path goes through [get_page_wr_slow] or [window], which both
-   call [own_data] before handing the bytes out — so sharing it across
-   all address spaces (and domains) is safe. *)
+   write path goes through [get_page_wr_slow], which calls [own_data]
+   before handing the bytes out — so sharing it across all address
+   spaces (and domains) is safe. *)
 type page = { mutable data : Bytes.t; mutable perm : perm }
 
 let zero = Bytes.make page_size '\000'
@@ -63,14 +63,6 @@ type t = {
   mutable wr_idx : int;
   mutable wr_page : page;
   fast : bool;
-  (* Remap notification ({!set_remap_hook}): called after any operation
-     that can change what an address resolves to or its writability —
-     [unmap], [protect]. The trace engine's fused data path caches a
-     page's backing bytes across accesses; this hook is how that cache
-     learns it must die. [map] never fires it: [map] only ever claims
-     sentinel (never-aliased) pages, so no cached window can point into
-     them. Zero cost on the access path. *)
-  mutable on_remap : unit -> unit;
 }
 
 let create (cfg : Sb_machine.Config.t) =
@@ -85,10 +77,7 @@ let create (cfg : Sb_machine.Config.t) =
     wr_idx = -1;
     wr_page = sentinel;
     fast = Sb_machine.Fastpath.is_enabled ();
-    on_remap = ignore;
   }
-
-let set_remap_hook t f = t.on_remap <- f
 
 let reserved_bytes t = t.reserved
 let peak_reserved_bytes t = t.peak
@@ -171,13 +160,11 @@ let unmap t ~addr ~len =
       t.reserved <- t.reserved - page_size
     end
   done;
-  invalidate_memos t;
-  t.on_remap ()
+  invalidate_memos t
 
 let protect t ~addr ~len ~perm =
   let page0 = addr lsr page_shift and npages = pages_of_len len in
   invalidate_memos t;
-  t.on_remap ();
   for i = page0 to page0 + npages - 1 do
     let p = page t i in
     if p == sentinel then fault (i lsl page_shift) Unmapped else p.perm <- perm
@@ -372,22 +359,6 @@ let read_string t ~addr ~len =
     Bytes.unsafe_to_string buf
   end
   else read_string_slow t ~addr ~len
-
-(* Trace-engine window: the backing bytes of the mapped page containing
-   [addr], plus its writability, or [None] for anything an access would
-   fault on. The caller caches the result across accesses; the
-   [set_remap_hook] callback is the invalidation protocol. *)
-let window t ~addr =
-  if addr < 0 || addr > addr_mask then None
-  else begin
-    let p = page_unsafe t (addr lsr page_shift) in
-    match p.perm with
-    | Guard -> None
-    | Read_only -> Some (p.data, false)
-    | Read_write ->
-      own_data p;
-      Some (p.data, true)
-  end
 
 let fill t ~addr ~len ~byte =
   let i = ref 0 in

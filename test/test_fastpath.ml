@@ -1,9 +1,15 @@
-(** Differential tests for the fast memory engine (PR 2): with the fast
-    paths on or off ({!Sb_machine.Fastpath}, env [SGXBOUNDS_NAIVE]),
-    every *simulated* result must be bit-for-bit identical — cycles,
-    instruction counts, per-class attribution, per-level cache stats,
-    EPC faults/evictions, loaded values, crash messages. The fast engine
-    may only change host wall-clock time. *)
+(** Differential tests for the fast memory engine: under the [Fast] and
+    [Naive] engines ({!Sb_machine.Fastpath}), every *simulated* result
+    must be bit-for-bit identical — cycles, instruction counts,
+    per-class attribution, per-level cache stats, EPC faults/evictions,
+    thread clocks, loaded values, crash messages. The fast engine may
+    only change host wall-clock time.
+
+    Besides whole workloads, the kernels below drive the edges of the
+    fast engine's same-line batching: every point where a pending streak
+    must be flushed (class switches, bulk probes, remaps, faults, thread
+    switches, yields, profiler attach) and the cases where batching is
+    off (telemetry, an attached profiler). *)
 
 module Fastpath = Sb_machine.Fastpath
 module Config = Sb_machine.Config
@@ -11,8 +17,10 @@ module Memsys = Sb_sgx.Memsys
 module Vmem = Sb_vmem.Vmem
 module Harness = Sb_harness.Harness
 module Registry = Sb_workloads.Registry
+module Scheme = Sb_protection.Scheme
+module Profile = Sb_telemetry.Profile
 
-let both f = (Fastpath.with_engine true f, Fastpath.with_engine false f)
+let both f = (Fastpath.with_kind Fastpath.Fast f, Fastpath.with_kind Fastpath.Naive f)
 
 let check_int name a b = Alcotest.(check int) name b a
 
@@ -88,6 +96,20 @@ let test_workloads_mt () =
        check_outcome (scheme ^ "/pca(t=4)") fast naive)
     [ "native"; "sgxbounds"; "asan" ]
 
+let test_workloads_mt_yields () =
+  (* Pointer-intensive workloads at other thread counts under the
+     bounds-checking schemes: more cooperative yields per run, and
+     scheme-side metadata accesses interleaved across threads. *)
+  List.iter
+    (fun scheme ->
+       List.iter
+         (fun (wname, threads) ->
+            let w = Registry.find wname in
+            let fast, naive = both (fun () -> run_workload ~scheme ~threads w) in
+            check_outcome (Printf.sprintf "%s/%s(t=%d)" scheme wname threads) fast naive)
+         [ ("kmeans", 2); ("wordcount", 8) ])
+    [ "sgxbounds"; "mpx"; "baggy" ]
+
 (* ------------------------------------------------------------------ *)
 (* Memsys-level: access microkernel incl. EPC thrash                   *)
 (* ------------------------------------------------------------------ *)
@@ -97,6 +119,8 @@ type probe = {
   attr : (Memsys.access_class * Memsys.class_stat) list;
   cache : (string * Sb_cache.Hierarchy.level_stats) list;
   evictions : int;
+  clocks : int * int;
+  compute : int;
 }
 
 let probe ms =
@@ -105,15 +129,21 @@ let probe ms =
     attr = Memsys.attribution ms;
     cache = Memsys.cache_stats ms;
     evictions = Memsys.epc_evictions ms;
+    clocks = (Memsys.get_clock ms 0, Memsys.get_clock ms 1);
+    compute = Memsys.compute_cycles ms;
   }
 
 let check_probe where (f : probe) (n : probe) =
   check_int (where ^ " cycles") f.snap.Memsys.cycles n.snap.Memsys.cycles;
+  check_int (where ^ " instrs") f.snap.Memsys.instrs n.snap.Memsys.instrs;
   check_int (where ^ " mem_accesses") f.snap.Memsys.mem_accesses
     n.snap.Memsys.mem_accesses;
   check_int (where ^ " llc_misses") f.snap.Memsys.llc_misses n.snap.Memsys.llc_misses;
   check_int (where ^ " epc_faults") f.snap.Memsys.epc_faults n.snap.Memsys.epc_faults;
   check_int (where ^ " epc_evictions") f.evictions n.evictions;
+  check_int (where ^ " clock0") (fst f.clocks) (fst n.clocks);
+  check_int (where ^ " clock1") (snd f.clocks) (snd n.clocks);
+  check_int (where ^ " compute") f.compute n.compute;
   List.iter2
     (fun (c, (s1 : Memsys.class_stat)) (_, (s2 : Memsys.class_stat)) ->
        check_int (where ^ " attr " ^ Memsys.class_name c) s1.Memsys.accesses
@@ -181,12 +211,282 @@ let memsys_kernel () =
   checkpoint ();
   (List.rev !probes, !digest)
 
-let test_memsys_kernel () =
-  let (pf, df), (pn, dn) = both memsys_kernel in
-  check_int "loaded-value digest" df dn;
+(* Run a kernel returning (checkpoints, loaded-value digest) under both
+   engines and compare every checkpoint. *)
+let check_kernel where kernel =
+  let (pf, df), (pn, dn) = both kernel in
+  check_int (where ^ " digest") df dn;
+  check_int (where ^ " checkpoints") (List.length pf) (List.length pn);
   List.iteri
-    (fun i (f, n) -> check_probe (Printf.sprintf "checkpoint %d" i) f n)
+    (fun i (f, n) -> check_probe (Printf.sprintf "%s checkpoint %d" where i) f n)
     (List.combine pf pn)
+
+let test_memsys_kernel () = check_kernel "memsys" memsys_kernel
+
+(* Every access shape the same-line batching distinguishes: contiguous
+   scans at all widths (aligned and unaligned, so accesses straddle
+   cache lines), larger strides with per-access splits, backward scans,
+   same-address hammering split by a class switch, interleaved scans
+   that break every streak, and probes that must flush a pending streak
+   ([touch_range]/[blit]/[fill]/[charge_alu]/class switches). *)
+let pattern_kernel () =
+  let ms = Memsys.create (Config.default ()) in
+  let vm = Memsys.vmem ms in
+  let len = 64 * 1024 in
+  let a = Vmem.map vm ~len ~perm:Vmem.Read_write () in
+  let probes = ref [] in
+  let checkpoint () = probes := probe ms :: !probes in
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  for i = 0 to (len / 8) - 1 do
+    Memsys.store ms ~addr:(a + (i * 8)) ~width:8 (i * 2654435761)
+  done;
+  checkpoint ();
+  (* contiguous scans, all widths, aligned *)
+  List.iter
+    (fun w ->
+       let i = ref 0 in
+       while !i + w <= 4096 do
+         note (Memsys.load ms ~addr:(a + !i) ~width:w);
+         i := !i + w
+       done)
+    [ 1; 2; 4; 8 ];
+  checkpoint ();
+  (* unaligned scans: width 4 at stride 4 from a+1, width 8 at stride 8
+     from a+5 — some accesses split across lines *)
+  let i = ref 1 in
+  while !i + 4 <= 2048 do
+    note (Memsys.load ms ~addr:(a + !i) ~width:4);
+    i := !i + 4
+  done;
+  let i = ref 5 in
+  while !i + 8 <= 2048 do
+    note (Memsys.load ms ~addr:(a + !i) ~width:8);
+    i := !i + 8
+  done;
+  checkpoint ();
+  (* strided with splits: stride 12 width 8; stride 48 width 4 *)
+  let i = ref 0 in
+  while !i + 8 <= 8192 do
+    note (Memsys.load ms ~addr:(a + !i) ~width:8);
+    i := !i + 12
+  done;
+  let i = ref 2 in
+  while !i + 4 <= 8192 do
+    note (Memsys.load ms ~addr:(a + !i) ~width:4);
+    i := !i + 48
+  done;
+  checkpoint ();
+  (* backward scan *)
+  let i = ref (4096 - 8) in
+  while !i >= 0 do
+    note (Memsys.load ms ~addr:(a + !i) ~width:8);
+    i := !i - 8
+  done;
+  checkpoint ();
+  (* same-address hammer, split by a mid-stream class switch *)
+  for k = 1 to 600 do
+    Memsys.store ms ~addr:(a + 128) ~width:8 k;
+    note (Memsys.load ms ~addr:(a + 128) ~width:8);
+    if k = 300 then Memsys.touch ~cls:Memsys.Shadow ms ~addr:(a + 128) ~width:1
+  done;
+  checkpoint ();
+  (* two interleaved scans: every access leaves the previous line *)
+  for k = 0 to 255 do
+    note (Memsys.load ms ~addr:(a + (k * 8)) ~width:8);
+    note (Memsys.load ms ~addr:(a + 16384 + (k * 16)) ~width:8)
+  done;
+  checkpoint ();
+  (* interposed probes must flush a pending streak with exact accounting *)
+  let i = ref 0 in
+  while !i + 8 <= 4096 do
+    note (Memsys.load ms ~addr:(a + !i) ~width:8);
+    (match !i with
+     | 1024 -> Memsys.touch_range ms ~addr:(a + 20000) ~len:300
+     | 2048 -> Memsys.blit ms ~src:a ~dst:(a + 32768) ~len:256
+     | 3072 -> Memsys.fill ms ~addr:(a + 24000) ~len:128 ~byte:0x5A
+     | 1536 -> Memsys.charge_alu ms 7
+     | _ -> ());
+    i := !i + 8
+  done;
+  checkpoint ();
+  (* metadata-class streaks: footer touches at stride 8 *)
+  for k = 0 to 255 do
+    Memsys.touch ~cls:Memsys.Footer_meta ms ~addr:(a + 40960 + (k * 8)) ~width:4
+  done;
+  checkpoint ();
+  (List.rev !probes, !digest)
+
+let test_patterns () = check_kernel "patterns" pattern_kernel
+
+(* Unmap and protect mid-stream: the translation memos must die with
+   the mapping, and a store fault must land at the same access with
+   identical pre-fault accounting. *)
+let remap_kernel () =
+  let ms = Memsys.create (Config.default ()) in
+  let vm = Memsys.vmem ms in
+  let a = Vmem.map vm ~len:16384 ~perm:Vmem.Read_write () in
+  let b = Vmem.map vm ~len:8192 ~perm:Vmem.Read_write () in
+  let probes = ref [] in
+  let checkpoint () = probes := probe ms :: !probes in
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  for i = 0 to 1023 do
+    Memsys.store ms ~addr:(a + (i * 8)) ~width:8 i;
+    Memsys.store ms ~addr:(b + (i * 4)) ~width:4 i
+  done;
+  for i = 0 to 511 do
+    note (Memsys.load ms ~addr:(a + (i * 8)) ~width:8);
+    if i = 300 then Vmem.unmap vm ~addr:b ~len:8192
+  done;
+  checkpoint ();
+  let faulted = ref (-1) in
+  (try
+     for i = 0 to 511 do
+       Memsys.store ms ~addr:(a + (i * 8)) ~width:8 i;
+       if i = 200 then Vmem.protect vm ~addr:a ~len:4096 ~perm:Vmem.Read_only
+     done
+   with Vmem.Fault { addr; _ } -> faulted := addr - a);
+  note !faulted;
+  checkpoint ();
+  (List.rev !probes, !digest)
+
+let test_remap () = check_kernel "remap" remap_kernel
+
+(* free/realloc during hot scans, through a real scheme's allocator:
+   the object may move, and later accesses must go through the new
+   mapping. *)
+let alloc_kernel () =
+  let ms = Memsys.create (Config.default ()) in
+  let s : Scheme.t = Sgxbounds.make ms in
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  let p = s.Scheme.calloc 1 4096 in
+  let q = s.Scheme.calloc 1 2048 in
+  for i = 0 to 4095 do
+    s.Scheme.store (s.Scheme.offset p i) 1 (i land 0xff)
+  done;
+  for i = 0 to 4088 do
+    note (s.Scheme.load (s.Scheme.offset p i) 1);
+    if i = 2000 then s.Scheme.free q
+  done;
+  let p = ref p in
+  for i = 0 to 1023 do
+    note (s.Scheme.load (s.Scheme.offset !p i) 1);
+    if i = 512 then p := s.Scheme.realloc !p 8192
+  done;
+  ([ probe ms ], !digest)
+
+let test_alloc () = check_kernel "free/realloc" alloc_kernel
+
+(* A thread switch in the middle of a streak: the pending accounting
+   must land on the thread that issued it, never migrate. *)
+let thread_kernel () =
+  let ms = Memsys.create (Config.default ()) in
+  let vm = Memsys.vmem ms in
+  let a = Vmem.map vm ~len:16384 ~perm:Vmem.Read_write () in
+  for i = 0 to 2047 do
+    Memsys.store ms ~addr:(a + (i * 8)) ~width:8 i
+  done;
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  for i = 0 to 2047 do
+    note (Memsys.load ms ~addr:(a + (i * 8)) ~width:8);
+    if i = 1000 then Memsys.set_thread ms 1;
+    if i = 1500 then Memsys.set_thread ms 0
+  done;
+  ([ probe ms ], !digest)
+
+let test_thread_switch () = check_kernel "thread-switch" thread_kernel
+
+(* With a telemetry hub enabled the fast engine must not batch (each
+   access is observed individually), and the simulated stats must still
+   equal the naive engine's. *)
+let telemetry_kernel () =
+  let tel = Sb_telemetry.Telemetry.create ~enabled:true () in
+  let ms = Memsys.create ~tel (Config.default ()) in
+  let vm = Memsys.vmem ms in
+  let a = Vmem.map vm ~len:8192 ~perm:Vmem.Read_write () in
+  let digest = ref 0 in
+  for i = 0 to 1023 do
+    Memsys.store ms ~addr:(a + (i * 8)) ~width:8 i
+  done;
+  for i = 0 to 1023 do
+    digest := (!digest * 31) + Memsys.load ms ~addr:(a + (i * 8)) ~width:8
+  done;
+  ([ probe ms ], !digest)
+
+let test_telemetry () = check_kernel "telemetry" telemetry_kernel
+
+(* Attaching a profiler mid-stream flushes the pending streak and turns
+   batching off until detach; simulated stats stay bit-identical and the
+   profiler sees every post-attach charge. *)
+let profiler_kernel () =
+  let ms = Memsys.create (Config.default ()) in
+  let vm = Memsys.vmem ms in
+  let a = Vmem.map vm ~len:8192 ~perm:Vmem.Read_write () in
+  let prof = Profile.create ~buckets:Memsys.profile_buckets () in
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  for i = 0 to 1023 do
+    Memsys.store ms ~addr:(a + (i * 8)) ~width:8 i
+  done;
+  for i = 0 to 1023 do
+    note (Memsys.load ms ~addr:(a + (i * 8)) ~width:8);
+    if i = 400 then Memsys.attach_profiler ms prof;
+    if i = 800 then Memsys.detach_profiler ms
+  done;
+  let p = probe ms in
+  let profiled =
+    List.fold_left (fun acc (r : Profile.row) -> acc + r.Profile.r_self) 0
+      (Profile.rows prof)
+  in
+  ([ p ], (!digest * 31) + profiled)
+
+let test_profiler_attach () = check_kernel "profiler-attach" profiler_kernel
+
+(* A later machine must behave exactly like the first: the same kernel
+   on three consecutive machines per engine. *)
+let test_consecutive_machines () =
+  let kernel () =
+    let ms = Memsys.create (Config.default ()) in
+    let vm = Memsys.vmem ms in
+    let a = Vmem.map vm ~len:8192 ~perm:Vmem.Read_write () in
+    let digest = ref 0 in
+    for i = 0 to 1023 do
+      Memsys.store ms ~addr:(a + (i * 8)) ~width:8 (i * 17)
+    done;
+    for i = 0 to 1023 do
+      digest := (!digest * 31) + Memsys.load ms ~addr:(a + (i * 8)) ~width:8
+    done;
+    (probe ms, !digest)
+  in
+  check_kernel "consecutive" (fun () ->
+    let runs = [ kernel (); kernel (); kernel () ] in
+    (List.map fst runs, List.fold_left (fun h (_, d) -> (h * 31) + d) 0 runs))
+
+(* Demand-zero pages: stores mixed into a scan of a never-written page
+   must give the page its own bytes and never reach the shared zero
+   buffer, so a fresh mapping still reads zeros. *)
+let demand_zero_kernel () =
+  let ms = Memsys.create (Config.default ()) in
+  let vm = Memsys.vmem ms in
+  let a = Vmem.map vm ~len:16384 ~perm:Vmem.Read_write () in
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  let scan base n =
+    for i = 0 to n - 1 do note (Memsys.load ms ~addr:(base + (i * 8)) ~width:8) done
+  in
+  for i = 0 to 2047 do
+    let addr = a + (i * 8) in
+    if i land 3 = 3 then Memsys.store ms ~addr ~width:8 (i + 1)
+    else note (Memsys.load ms ~addr ~width:8)
+  done;
+  scan a 2048;
+  scan (Vmem.map vm ~len:8192 ~perm:Vmem.Read_write ()) 1024;
+  ([ probe ms ], !digest)
+
+let test_demand_zero () = check_kernel "demand-zero" demand_zero_kernel
 
 (* ------------------------------------------------------------------ *)
 (* Vmem-level: values, faults and accounting                           *)
@@ -238,8 +538,20 @@ let suite =
   [
     Alcotest.test_case "fast = naive: workloads x schemes" `Slow test_workloads;
     Alcotest.test_case "fast = naive: multithreaded pca" `Slow test_workloads_mt;
+    Alcotest.test_case "fast = naive: multithreaded workload (yields)" `Slow
+      test_workloads_mt_yields;
     Alcotest.test_case "fast = naive: memsys microkernel (EPC thrash)" `Quick
       test_memsys_kernel;
     Alcotest.test_case "fast = naive: vmem codecs, faults, accounting" `Quick
       test_vmem_kernel;
+    Alcotest.test_case "fast = naive: stride patterns, breaks, probes" `Quick test_patterns;
+    Alcotest.test_case "fast = naive: unmap/protect mid-stream" `Quick test_remap;
+    Alcotest.test_case "fast = naive: free/realloc through a scheme" `Quick test_alloc;
+    Alcotest.test_case "fast = naive: thread switch mid-streak" `Quick test_thread_switch;
+    Alcotest.test_case "fast = naive: telemetry hub disables batching" `Quick
+      test_telemetry;
+    Alcotest.test_case "fast = naive: profiler attach mid-run" `Quick test_profiler_attach;
+    Alcotest.test_case "fast = naive: consecutive machines" `Quick
+      test_consecutive_machines;
+    Alcotest.test_case "fast = naive: demand-zero pages" `Quick test_demand_zero;
   ]

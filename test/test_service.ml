@@ -180,7 +180,7 @@ let test_engines_agree () =
   let c = cell ~app:Drivers.Memcached ~requests:80 60_000. in
   let fast = Experiment.tsv_line (Experiment.run_cell c) in
   let naive =
-    Fastpath.with_engine false (fun () -> Experiment.tsv_line (Experiment.run_cell c))
+    Fastpath.with_kind Fastpath.Naive (fun () -> Experiment.tsv_line (Experiment.run_cell c))
   in
   Alcotest.(check string) "fast engine = naive engine" fast naive
 

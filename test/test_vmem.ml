@@ -304,8 +304,8 @@ let test_sparse_faults () =
    write the shared buffer (a fresh page would then read non-zero). *)
 let on_engines f =
   List.iter
-    (fun k -> Sb_machine.Fastpath.(with_kind k (fun () -> f (current_name ()))))
-    Sb_machine.Fastpath.[ Naive; Fast; Trace ]
+    (fun k -> Sb_machine.Fastpath.(with_kind k (fun () -> f (kind_name k))))
+    Sb_machine.Fastpath.[ Naive; Fast ]
 
 let zeros n = String.make n '\000'
 
