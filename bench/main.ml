@@ -7,7 +7,8 @@
       dune exec bench/main.exe fig7 fig8  # selected experiments
       dune exec bench/main.exe bechamel   # wall-clock micro-benchmarks
       dune exec bench/main.exe -- -j 4 fig7        # grid cells across 4 domains
-      dune exec bench/main.exe -- throughput       # engine speed -> BENCH_PR2.json
+      dune exec bench/main.exe -- -j 2 reproduce   # rewrite + byte-compare results/
+      dune exec bench/main.exe -- throughput       # engine speed -> BENCH_PR7.json
       dune exec bench/main.exe -- --smoke --out /tmp/b.json throughput
 
     Flags: [-j N | --jobs N] fan independent (scheme x workload) cells of
@@ -192,12 +193,17 @@ let print_overhead_tables ~title ~rows ~schemes ~metric () =
     schemes;
   Fmt.pr "@."
 
+(* The Figure 7 grid; [reproduce] renders the same rows as
+   results/fig7_phoenix_parsec.tsv. *)
+let fig7_rows () =
+  collect ~schemes:[ "native"; "mpx"; "asan"; "sgxbounds" ] ~threads:8
+    ~workloads:phoenix_parsec
+
 let fig7 () =
   header
     "Figure 7: Phoenix + PARSEC with 8 threads — performance (top) and\n\
      memory (bottom) overheads over native SGX";
-  let schemes = [ "native"; "mpx"; "asan"; "sgxbounds" ] in
-  let rows = collect ~schemes ~threads:8 ~workloads:phoenix_parsec in
+  let rows = fig7_rows () in
   print_overhead_tables ~title:"Performance overhead (x over native SGX)" ~rows
     ~schemes:[ "mpx"; "asan"; "sgxbounds" ] ~metric:ratio_of ();
   print_overhead_tables ~title:"Peak virtual memory overhead (x over native SGX)" ~rows
@@ -411,17 +417,18 @@ let tl_run ~scheme ~env ~clients run_app =
       let lat = float_of_int cycles /. float_of_int ops *. float_of_int clients /. 1e3 in
       Some ({ throughput = thr; latency = lat }, Scheme.peak_vm s)
 
+(* Figure 13's columns, closed-loop here and open-loop in fig13curves *)
+let fig13_schemes =
+  [ ("native(out)", "native", Config.Outside_enclave);
+    ("SGX", "native", Config.Inside_enclave);
+    ("SGXBounds", "sgxbounds", Config.Inside_enclave);
+    ("ASan", "asan", Config.Inside_enclave);
+    ("MPX", "mpx", Config.Inside_enclave) ]
+
 let fig13_app name run_app =
   Fmt.pr "@.--- %s: throughput (kops/s) / latency (us) per concurrency@." name;
-  let schemes =
-    [ ("native(out)", "native", Config.Outside_enclave);
-      ("SGX", "native", Config.Inside_enclave);
-      ("SGXBounds", "sgxbounds", Config.Inside_enclave);
-      ("ASan", "asan", Config.Inside_enclave);
-      ("MPX", "mpx", Config.Inside_enclave) ]
-  in
   Fmt.pr "%-12s" "clients";
-  List.iter (fun (l, _, _) -> Fmt.pr "%18s" l) schemes;
+  List.iter (fun (l, _, _) -> Fmt.pr "%18s" l) fig13_schemes;
   Fmt.pr "@.";
   let peaks = Hashtbl.create 8 in
   List.iter
@@ -434,7 +441,7 @@ let fig13_app name run_app =
             | Some (p, vm) ->
               Hashtbl.replace peaks label vm;
               Fmt.pr "%12.0f/%5.2f" (p.throughput /. 1000.) p.latency)
-         schemes;
+         fig13_schemes;
        Fmt.pr "@.")
     [ 1; 2; 4; 8; 16 ];
   Fmt.pr "peak memory:";
@@ -443,7 +450,7 @@ let fig13_app name run_app =
        match Hashtbl.find_opt peaks label with
        | Some vm -> Fmt.pr "  %s=%a" label pp_mb vm
        | None -> Fmt.pr "  %s=CRASH" label)
-    schemes;
+    fig13_schemes;
   Fmt.pr "@."
 
 let fig13 () =
@@ -470,73 +477,58 @@ module Drivers = Sb_service.Drivers
 module Latency = Sb_service.Latency
 module Score = Sb_service.Score
 
-let fig13_schemes =
-  [ ("native(out)", "native", Config.Outside_enclave);
-    ("SGX", "native", Config.Inside_enclave);
-    ("SGXBounds", "sgxbounds", Config.Inside_enclave);
-    ("ASan", "asan", Config.Inside_enclave);
-    ("MPX", "mpx", Config.Inside_enclave) ]
+let fig13_workers = 4
 
 (** The open-loop version of Figure 13: for each app, measure the
     native-SGX closed-loop capacity, then sweep the offered rate from
     well under to past that capacity for every scheme. Each point is an
     independent (machine, scheme, schedule) cell, fanned across [--jobs]
-    domains; the full grid lands in results/fig13_latency.tsv. *)
+    domains. Per app: [None] when the capacity run crashed, else the
+    capacity and, per fraction of it, one point per scheme. *)
+let fig13_sweep () =
+  let requests = if !smoke then 240 else 2000 in
+  let fractions = if !smoke then [ 0.3; 0.9; 1.3 ] else [ 0.2; 0.4; 0.6; 0.8; 1.0; 1.3 ] in
+  let n = List.length fig13_schemes in
+  let sweep app cap =
+    let cell rate (_, scheme, env) =
+      let cfg = { Service.default with workers = fig13_workers; requests; rate_rps = rate } in
+      { Sexp.app; scheme; env; cfg }
+    in
+    let cells = List.concat_map (fun f -> List.map (cell (f *. cap)) fig13_schemes) fractions in
+    let points = Array.of_list (Sexp.sweep ~jobs:!jobs cells) in
+    let row i frac = (frac, Array.to_list (Array.sub points (i * n) n)) in
+    (cap, List.mapi row fractions)
+  in
+  List.map
+    (fun app ->
+       ( app,
+         Option.map (sweep app)
+           (Sexp.capacity ~app ~scheme:"native" ~env:Config.Inside_enclave
+              ~workers:fig13_workers ~requests ~seed:1) ))
+    Drivers.all
+
 let fig13curves () =
   header
     "Figure 13 (curves): open-loop throughput-latency per scheme\n\
      (cell = completed-kops/s, p50/p99 sojourn us; * = load shed)";
-  let requests = if !smoke then 240 else 2000 in
-  let workers = 4 in
-  let fractions =
-    if !smoke then [ 0.3; 0.9; 1.3 ] else [ 0.2; 0.4; 0.6; 0.8; 1.0; 1.3 ]
-  in
-  let all_points = ref [] in
   List.iter
-    (fun app ->
+    (fun (app, sweep) ->
        Fmt.pr "@.--- %s: offered rate as a fraction of native-SGX capacity@."
          (Drivers.name app);
-       match
-         Sexp.capacity ~app ~scheme:"native" ~env:Config.Inside_enclave ~workers
-           ~requests ~seed:1
-       with
+       match sweep with
        | None -> Fmt.pr "  capacity run crashed; skipping@."
-       | Some cap ->
+       | Some (cap, rows) ->
          Fmt.pr "  native-SGX capacity: %.0f kops/s (%d workers)@." (cap /. 1000.)
-           workers;
-         let cells =
-           List.concat_map
-             (fun frac ->
-                List.map
-                  (fun (_, scheme, env) ->
-                     {
-                       Sexp.app;
-                       scheme;
-                       env;
-                       cfg =
-                         {
-                           Service.default with
-                           workers;
-                           requests;
-                           rate_rps = frac *. cap;
-                         };
-                     })
-                  fig13_schemes)
-             fractions
-         in
-         let points = Sexp.sweep ~jobs:!jobs cells in
-         all_points := !all_points @ points;
-         let points = Array.of_list points in
-         let nschemes = List.length fig13_schemes in
+           fig13_workers;
          Fmt.pr "%-10s" "rate";
          List.iter (fun (l, _, _) -> Fmt.pr "%22s" l) fig13_schemes;
          Fmt.pr "@.";
-         List.iteri
-           (fun i frac ->
+         List.iter
+           (fun (frac, points) ->
               Fmt.pr "%-10s" (Fmt.str "%.1fxCap" frac);
-              List.iteri
-                (fun j _ ->
-                   match points.((i * nschemes) + j).Sexp.pt_outcome with
+              List.iter
+                (fun p ->
+                   match p.Sexp.pt_outcome with
                    | Error _ -> Fmt.pr "%22s" "CRASH"
                    | Ok st ->
                      let s = Service.summary st in
@@ -546,18 +538,12 @@ let fig13curves () =
                           (Latency.us_of_cycles s.Latency.p50)
                           (Latency.us_of_cycles s.Latency.p99)
                           (if st.Service.dropped > 0 then "*" else "")))
-                fig13_schemes;
+                points;
               Fmt.pr "@.")
-           fractions)
-    Drivers.all;
-  (* smoke runs keep their hands off the committed full-sweep table *)
-  let path =
-    if !smoke then "results/fig13_latency_smoke.tsv" else "results/fig13_latency.tsv"
-  in
-  Sexp.write_tsv ~path !all_points;
-  Fmt.pr "@.wrote %s (%d points)@." path (List.length !all_points);
+           rows)
+    (fig13_sweep ());
   Fmt.pr
-    "Paper shape: under low load every scheme tracks the offered rate and\n\
+    "@.Paper shape: under low load every scheme tracks the offered rate and\n\
      latency is flat service time; past its own capacity each curve bends\n\
      up in p99 first, then sheds (*). SGXBounds bends at nearly the SGX\n\
      knee; ASan earlier; MPX's memcached knee collapses to a fraction of\n\
@@ -580,11 +566,9 @@ let fleetcap_schemes =
     with lean metadata. The committed table is the fleet analogue of the
     paper's memcached column: SGXBounds reaches target capacity at
     strictly fewer shards than MPX, whose bounds tables keep each shard
-    thrashing longer. *)
-let fleetcap () =
-  header
-    "Fleet capacity: closed-loop YCSB-A kops/s vs shard count\n\
-     (hash-sharded enclave fleet; record set sized past one EPC)";
+    thrashing longer. Returns the record count, the shard counts and
+    [((scheme, shards), outcome)] per cell. *)
+let fleetcap_sweep () =
   let records = if !smoke then 2048 else 24576 in
   let requests = if !smoke then 300 else 2000 in
   let shard_counts = if !smoke then [ 1; 2; 4 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
@@ -609,7 +593,13 @@ let fleetcap () =
       fleetcap_schemes
   in
   let outcomes = Fleet.sweep ~jobs:!jobs (List.map (fun (s, n) -> mk s n) cells) in
-  let results = List.combine cells outcomes in
+  (records, shard_counts, List.combine cells outcomes)
+
+let fleetcap () =
+  header
+    "Fleet capacity: closed-loop YCSB-A kops/s vs shard count\n\
+     (hash-sharded enclave fleet; record set sized past one EPC)";
+  let _, shard_counts, results = fleetcap_sweep () in
   let cap_of scheme shards =
     match List.assoc_opt (scheme, shards) results with
     | Some (Ok st) -> Some (Fleet.throughput_rps st)
@@ -647,28 +637,7 @@ let fleetcap () =
           with
           | Some n -> Fmt.pr "  %-10s %d shards@." label n
           | None -> Fmt.pr "  %-10s not reached@." label)
-       fleetcap_schemes);
-  let path =
-    if !smoke then "results/fleet_capacity_smoke.tsv" else "results/fleet_capacity.tsv"
-  in
-  if not (Sys.file_exists "results") then Sys.mkdir "results" 0o755;
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc Fleet.capacity_tsv_header;
-      output_char oc '\n';
-      List.iter
-        (fun ((scheme, shards), outcome) ->
-           let capacity_kops =
-             match outcome with
-             | Ok st -> Fleet.throughput_rps st /. 1000.
-             | Error _ -> 0.
-           in
-           let offered_rps = capacity_kops *. 1000. in
-           output_string oc
-             (Fleet.capacity_tsv_line ~scheme ~shards ~policy:Fleet.Hash
-                ~workload:Ycsb.A ~records ~capacity_kops ~offered_rps outcome);
-           output_char oc '\n')
-        results);
-  Fmt.pr "@.wrote %s (%d cells)@." path (List.length results)
+       fleetcap_schemes)
 
 (* ------------------------------------------------------------------ *)
 (* §7 security case studies                                            *)
@@ -871,31 +840,101 @@ let ablations () =
     (float_of_int (narrow_kernel ~narrowed:true)
      /. float_of_int (narrow_kernel ~narrowed:false))
 
-(** Write plot-ready TSV + gnuplot files for the two big overhead
-    matrices (Figure 7 and Figure 11) through the Fex framework, under
-    results/. *)
-let results () =
-  header "Fex: writing plot-ready result files under results/";
-  let emit name description workloads threads =
-    let e =
-      Sb_fex.Fex.matrix ~name ~description ~baseline:"native" ~workloads
-        ~schemes:[ "native"; "mpx"; "asan"; "sgxbounds" ] ~threads:[ threads ] ()
-    in
-    let rows = Sb_fex.Fex.normalize e (Sb_fex.Fex.run e) in
-    let path = Sb_fex.Fex.write_results ~dir:"results" e rows in
-    Fmt.pr "  %s (%d rows)@." path (List.length rows);
-    List.iter
-      (fun (scheme, g) -> Fmt.pr "    gmean %-10s %.2fx@." scheme g)
-      (Sb_fex.Fex.gmeans rows)
+(* ------------------------------------------------------------------ *)
+(* Reproduce: regenerate and byte-compare every file under results/    *)
+(* ------------------------------------------------------------------ *)
+
+module Reproduce = Sb_reproduce.Reproduce
+module Symex = Sb_analysis.Symex
+
+let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
+
+(* What `sgxbounds_cli profile --app memcached --diff sgxbounds:mpx
+   --requests 50 --json' prints. *)
+let profile_diff_memcached () =
+  let prof scheme =
+    Sexp.profile_app ~env:Config.Inside_enclave ~requests:50 ~app:Drivers.Memcached ~scheme ()
   in
-  emit "fig7_phoenix_parsec" "Phoenix+PARSEC overheads, 8 threads"
-    (List.map (fun (w : Registry.spec) -> w.Registry.name) phoenix_parsec)
-    8;
-  emit "fig11_spec" "SPEC CPU2006 overheads inside SGX"
-    (List.map
-       (fun (w : Registry.spec) -> w.Registry.name)
-       (Registry.of_suite Registry.Spec))
-    1
+  match (prof "sgxbounds", prof "mpx") with
+  | Ok pa, Ok pb ->
+    let module Profile = Sb_telemetry.Profile in
+    let diff = Profile.diff_to_json ~a_label:"memcached/sgxbounds" ~b_label:"memcached/mpx" in
+    (lines [ Json.to_string (diff pa (Profile.diff pa pb)) ], [])
+  | Error msg, _ | _, Error msg -> ("", [ "profile run crashed: " ^ msg ])
+
+(* Every committed data file with its generator: the bytes, and the
+   claims its typed rows violate. *)
+let results_files =
+  [
+    ("fig7_phoenix_parsec.tsv", fun () -> (Reproduce.overhead_tsv (fig7_rows ()), []));
+    ( "fig11_spec.tsv",
+      fun () -> (Reproduce.overhead_tsv (spec_rows ~env:Config.Inside_enclave), []) );
+    ( "fig13_latency.tsv",
+      fun () ->
+        let points = function Some (_, rows) -> List.concat_map snd rows | None -> [] in
+        (Sexp.to_tsv (List.concat_map (fun (_, sweep) -> points sweep) (fig13_sweep ())), []) );
+    ( "fleet_capacity.tsv",
+      fun () ->
+        let records, _, results = fleetcap_sweep () in
+        let line ((scheme, shards), outcome) =
+          let capacity_kops =
+            match outcome with Ok st -> Fleet.throughput_rps st /. 1000. | Error _ -> 0.
+          in
+          Fleet.capacity_tsv_line ~scheme ~shards ~policy:Fleet.Hash ~workload:Ycsb.A ~records
+            ~capacity_kops ~offered_rps:(capacity_kops *. 1000.) outcome
+        in
+        ( lines (Fleet.capacity_tsv_header :: List.map line results),
+          Reproduce.fleet_claims (List.map fst results) ) );
+    ( "interface_matrix.tsv",
+      fun () ->
+        let cells = Symex.corpus_sweep ~jobs:!jobs () in
+        (Symex.matrix_tsv cells, Symex.verify_matrix cells) );
+    ( "check_elision.tsv",
+      fun () ->
+        let module Optimizer = Sb_analysis.Optimizer in
+        let rows =
+          Optimizer.sweep ~env:Config.Inside_enclave ~threads:1 ~jobs:!jobs Registry.all
+        in
+        (Optimizer.tsv_of_rows rows, Reproduce.elision_claims rows) );
+    ("profile_diff_memcached.json", profile_diff_memcached);
+  ]
+
+(** The one writer of results/: regenerate every committed data file,
+    check the claims on its typed rows (a broken claim exits 1 before any
+    file is compared), then compare the bytes with the committed ones. A
+    differing file is rewritten in place (the drift shows in `git diff`);
+    any difference or orphan exits 1. *)
+let reproduce () =
+  if !smoke then begin
+    Fmt.epr "reproduce: --smoke sizes can never match the committed results/; \
+             run it without --smoke@.";
+    exit 1
+  end;
+  header "Reproduce: regenerate every file under results/ and compare it byte for byte";
+  let generated =
+    List.map
+      (fun (name, gen) ->
+         let t0 = Unix.gettimeofday () in
+         let bytes, problems = gen () in
+         List.iter (fun p -> Fmt.epr "results/%s: claim violated: %s@." name p) problems;
+         if problems <> [] then exit 1;
+         (name, bytes, Unix.gettimeofday () -. t0))
+      results_files
+  in
+  let statuses, orphans =
+    Reproduce.reconcile ~dir:"results" (List.map (fun (f, bytes, _) -> (f, bytes)) generated)
+  in
+  List.iter2
+    (fun (name, status) (_, _, dt) ->
+       Fmt.pr "%-36s %-38s %5.1fs@." ("results/" ^ name)
+         (match status with
+          | Reproduce.Same -> "same"
+          | Reproduce.Differs -> "DIFFERS (rewritten in place)"
+          | Reproduce.Missing -> "DIFFERS (no committed file; written)")
+         dt)
+    statuses generated;
+  List.iter (fun f -> Fmt.pr "%-36s ORPHAN (nothing writes it)@." ("results/" ^ f)) orphans;
+  if orphans <> [] || List.exists (fun (_, st) -> st <> Reproduce.Same) statuses then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Throughput: host wall-clock speed of the simulator itself           *)
@@ -1285,7 +1324,7 @@ let experiments =
     ("fig13curves", fig13curves);
     ("fleetcap", fleetcap);
     ("case-security", case_security);
-    ("results", results);
+    ("reproduce", reproduce);
     ("sweep-epc", sweep_epc);
     ("ablations", ablations);
     ("bechamel", bechamel);

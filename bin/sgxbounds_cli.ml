@@ -51,17 +51,27 @@ let scheme_arg =
              sgxbounds-hoist, sgxbounds-boundless, asan, mpx, baggy." in
   Arg.(value & opt string "sgxbounds" & info [ "s"; "scheme" ] ~doc)
 
+(* Sizes, thread and job counts: cmdliner rejects 0 and negatives before
+   any simulation runs. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let threads_arg =
-  Arg.(value & opt int 1 & info [ "t"; "threads" ] ~doc:"Simulated threads.")
+  Arg.(value & opt pos_int 1 & info [ "t"; "threads" ] ~doc:"Simulated threads.")
 
 let n_arg =
-  Arg.(value & opt (some int) None & info [ "n" ] ~doc:"Working-set parameter override.")
+  Arg.(value & opt (some pos_int) None & info [ "n" ] ~doc:"Working-set parameter override.")
 
 let outside_arg =
   Arg.(value & flag & info [ "outside" ] ~doc:"Run outside the enclave (no EPC/MEE).")
 
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt pos_int 1
        & info [ "j"; "jobs" ]
            ~doc:"Fan independent cells across N OCaml domains (host parallelism; \
                  simulated results are identical to a sequential sweep).")
@@ -268,158 +278,11 @@ let exploits_cmd =
     Term.(const run $ scheme_arg)
 
 let validate_bench_cmd =
-  (* results/fleet_capacity*.tsv: structural validation of the fleetcap
-     schema — identified by its header line, never parsed as JSON. *)
-  let validate_fleet_tsv file contents =
-    let header = Sb_service.Fleet.capacity_tsv_header in
-    let ncols = List.length (String.split_on_char '\t' header) in
-    let lines =
-      List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents)
-    in
-    let rows = List.tl lines in
-    if rows = [] then die "%s: fleet_capacity file has no data rows" file;
-    let int_at what row v =
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> n
-      | _ -> die "%s: row %d: %s %S is not a non-negative integer" file row what v
-    in
-    List.iteri
-      (fun i row ->
-         let r = i + 1 in
-         let cols = String.split_on_char '\t' row in
-         if List.length cols <> ncols then
-           die "%s: row %d has %d columns (expected %d)" file r (List.length cols) ncols;
-         let col n = List.nth cols n in
-         if String.trim (col 0) = "" then die "%s: row %d: empty scheme" file r;
-         if int_at "shards" r (col 1) < 1 then
-           die "%s: row %d: shards must be >= 1" file r;
-         ignore (int_at "records" r (col 4));
-         (match float_of_string_opt (col 5) with
-          | Some c when c >= 0. -> ()
-          | _ -> die "%s: row %d: capacity_kops %S is not a number" file r (col 5));
-         (match float_of_string_opt (col 6) with
-          | Some _ -> ()
-          | None -> die "%s: row %d: offered_rps %S is not a number" file r (col 6));
-         List.iteri
-           (fun j name -> ignore (int_at name r (col (7 + j))))
-           [ "completed"; "dropped"; "failed_over"; "lost"; "restarts";
-             "p50_cycles"; "p99_cycles" ];
-         let status = col 14 in
-         if status <> "ok" && not (String.length status >= 7 && String.sub status 0 7 = "crashed")
-         then die "%s: row %d: status %S is neither ok nor crashed" file r status)
-      rows;
-    Fmt.pr "%s: valid fleet_capacity table (%d rows, %d columns)@." file
-      (List.length rows) ncols
-  in
-  (* results/interface_matrix.tsv: the symbolic interface auditor's
-     Table-4-style conformance matrix, also header-identified. *)
-  let validate_matrix_tsv file contents =
-    let header = Sb_analysis.Symex.matrix_tsv_header in
-    let ncols = List.length (String.split_on_char '\t' header) in
-    let lines =
-      List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents)
-    in
-    let rows = List.tl lines in
-    if rows = [] then die "%s: interface_matrix file has no data rows" file;
-    List.iteri
-      (fun i row ->
-         let r = i + 1 in
-         let cols = String.split_on_char '\t' row in
-         if List.length cols <> ncols then
-           die "%s: row %d has %d columns (expected %d)" file r (List.length cols) ncols;
-         let col n = List.nth cols n in
-         if String.trim (col 0) = "" then die "%s: row %d: empty class" file r;
-         if String.trim (col 1) = "" then die "%s: row %d: empty scheme" file r;
-         (match col 2 with
-          | "ok" | "flagged" | "trapped" -> ()
-          | s -> die "%s: row %d: status %S not ok/flagged/trapped" file r s);
-         (match col 3 with
-          | "completed" | "trapped" | "fault" | "crash" -> ()
-          | s -> die "%s: row %d: outcome %S not completed/trapped/fault/crash" file r s);
-         let int_at what v =
-           match int_of_string_opt v with
-           | Some n when n >= 0 -> n
-           | _ -> die "%s: row %d: %s %S is not a non-negative integer" file r what v
-         in
-         ignore (int_at "findings" (col 4));
-         if String.trim (col 5) = "" then die "%s: row %d: empty kinds column" file r;
-         ignore (int_at "wild" (col 6));
-         (match col 7 with
-          | "0" | "1" -> ()
-          | s -> die "%s: row %d: corrupted %S is not 0/1" file r s))
-      rows;
-    Fmt.pr "%s: valid interface_matrix table (%d rows, %d columns)@." file
-      (List.length rows) ncols
-  in
-  (* results/check_elision.tsv: the static check optimizer's per-cell
-     elision table, also header-identified. *)
-  let validate_elision_tsv file contents =
-    let header = Sb_analysis.Optimizer.elision_tsv_header in
-    let ncols = List.length (String.split_on_char '\t' header) in
-    let lines =
-      List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents)
-    in
-    let rows = List.tl lines in
-    if rows = [] then die "%s: check_elision file has no data rows" file;
-    let strong = ref 0 in
-    List.iteri
-      (fun i row ->
-         let r = i + 1 in
-         let cols = String.split_on_char '\t' row in
-         if List.length cols <> ncols then
-           die "%s: row %d has %d columns (expected %d)" file r (List.length cols) ncols;
-         let col n = List.nth cols n in
-         if String.trim (col 0) = "" then die "%s: row %d: empty workload" file r;
-         if String.trim (col 1) = "" then die "%s: row %d: empty scheme" file r;
-         let int_at what v =
-           match int_of_string_opt v with
-           | Some n when n >= 0 -> n
-           | _ -> die "%s: row %d: %s %S is not a non-negative integer" file r what v
-         in
-         if int_at "n" (col 2) < 1 then die "%s: row %d: n must be >= 1" file r;
-         ignore (int_at "sites" (col 3));
-         let before = int_at "checks_before" (col 4) in
-         let after = int_at "checks_after" (col 5) in
-         if after > before then
-           die "%s: row %d: checks_after %d exceeds checks_before %d" file r after before;
-         ignore (int_at "elided" (col 6));
-         ignore (int_at "hoisted" (col 7));
-         let removed =
-           match float_of_string_opt (col 8) with
-           | Some p when p >= 0. && p <= 100. -> p
-           | _ -> die "%s: row %d: removed_pct %S not in [0,100]" file r (col 8)
-         in
-         ignore (int_at "cycles_before" (col 9));
-         ignore (int_at "cycles_after" (col 10));
-         (match float_of_string_opt (col 11) with
-          | Some _ -> ()
-          | None -> die "%s: row %d: cycle_delta_pct %S is not a number" file r (col 11));
-         if col 1 = "sgxbounds" && removed >= 20.0 then incr strong)
-      rows;
-    (* the acceptance floor: the optimizer must remove >= 20% of dynamic
-       checks on at least 3 workloads under SGXBounds *)
-    if !strong < 3 then
-      die "%s: only %d sgxbounds row(s) reach a 20%% removal rate (need >= 3)" file
-        !strong;
-    Fmt.pr "%s: valid check_elision table (%d rows, %d >= 20%% under sgxbounds)@." file
-      (List.length rows) !strong
-  in
   let run file =
     let contents =
       try In_channel.with_open_bin file In_channel.input_all
       with Sys_error e -> die "cannot read %s: %s" file e
     in
-    let starts_with prefix =
-      String.length contents >= String.length prefix
-      && String.sub contents 0 (String.length prefix) = prefix
-    in
-    if starts_with Sb_service.Fleet.capacity_tsv_header then
-      validate_fleet_tsv file contents
-    else if starts_with Sb_analysis.Symex.matrix_tsv_header then
-      validate_matrix_tsv file contents
-    else if starts_with Sb_analysis.Optimizer.elision_tsv_header then
-      validate_elision_tsv file contents
-    else
     match Json.parse contents with
     | Error msg -> die "%s: invalid JSON: %s" file msg
     | Ok j ->
@@ -503,9 +366,7 @@ let validate_bench_cmd =
              score': must parse as JSON and carry the keys of its schema (throughput: \
              numeric sim_maps/speedup_vs_naive, plus engine/score_total/jobs_effective \
              from v2; score: engine, score_total, per-kernel scores and a trend array). \
-             Also validates results/fleet_capacity*.tsv and \
-             results/interface_matrix.tsv tables (recognised by their header \
-             line) structurally.")
+             The data files under results/ are checked by `bench/main.exe reproduce'.")
     Term.(const run $ file_arg)
 
 let fuzz_cmd =

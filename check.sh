@@ -80,21 +80,24 @@ trap 'rm -f "$trace" "$bench_out"' EXIT
 _build/default/bench/main.exe --smoke --out "$bench_out" throughput >/dev/null
 "$CLI" validate-bench "$bench_out"
 
-echo "== bench smoke: fig13curves (open-loop service sweep)"
-_build/default/bench/main.exe --smoke -j 2 fig13curves >/dev/null
-test -s results/fig13_latency_smoke.tsv
-rm -f results/fig13_latency_smoke.tsv
-
-echo "== bench fig7: 8-thread grid output identical under -j 1 and -j 2"
-# fig7 prints only simulated results (no wall-clock field), so the two
-# runs must agree byte for byte whichever domain ran each cell.
-fig7_j1=$(mktemp /tmp/sgxbounds-fig7-j1.XXXXXX.txt)
-fig7_j2=$(mktemp /tmp/sgxbounds-fig7-j2.XXXXXX.txt)
-trap 'rm -f "$trace" "$bench_out" "$fig7_j1" "$fig7_j2"' EXIT
-_build/default/bench/main.exe -j 1 fig7 >"$fig7_j1"
-_build/default/bench/main.exe -j 2 fig7 >"$fig7_j2"
-cmp "$fig7_j1" "$fig7_j2"
-rm -f "$fig7_j1" "$fig7_j2"
+echo "== bench reproduce: regenerate every file under results/ (-j 2), compare bytes"
+# The one writer of results/: regenerates every committed data file,
+# checks the claims on its typed rows (elision floor, Table-4 matrix
+# pins, fleet shard counts), and exits 1 if any file differs (rewritten
+# in place, so the drift shows in git diff) or is produced by nothing.
+# The committed files were generated under -j 1, so this also pins
+# -j invariance; R randomises every Hashtbl, which must not show.
+OCAMLRUNPARAM=R _build/default/bench/main.exe -j 2 reproduce
+# MPX's extra cycles over SGXBounds must land on bounds-table sites
+if command -v jq >/dev/null 2>&1; then
+  jq -e '[.sites[].by_bucket.bounds_table] | add > 0' results/profile_diff_memcached.json >/dev/null
+else
+  grep -q '"bounds_table"' results/profile_diff_memcached.json
+fi
+if _build/default/bench/main.exe --smoke reproduce >/dev/null 2>&1; then
+  echo "reproduce accepted smoke sizes" >&2
+  exit 1
+fi
 
 echo "== CLI smoke: serve --smoke (underload + overload shed)"
 serve_out=$("$CLI" serve --app memcached --scheme sgxbounds --rate 400000 --smoke --json)
@@ -173,23 +176,6 @@ if command -v jq >/dev/null 2>&1; then
 fi
 test "$fleet_kill" = "$(fleet_kill_cmd)"
 
-echo "== bench fleetcap: regenerate with -j 2, compare to committed, validate"
-# The full table rewrites results/fleet_capacity.tsv in place: keep the
-# committed bytes aside and put them back if the regenerated ones differ.
-# Cells run across -j 2 and each cell's instances on their own domains,
-# so this also checks that both layers of host parallelism are invisible.
-fleetcap_prev=$(mktemp /tmp/sgxbounds-fleetcap.XXXXXX.tsv)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$fleetcap_prev"' EXIT
-cp results/fleet_capacity.tsv "$fleetcap_prev"
-_build/default/bench/main.exe -j 2 fleetcap >/dev/null
-if ! cmp "$fleetcap_prev" results/fleet_capacity.tsv; then
-  cp "$fleetcap_prev" results/fleet_capacity.tsv
-  echo "results/fleet_capacity.tsv: regenerated table differs from the committed one" >&2
-  exit 1
-fi
-rm -f "$fleetcap_prev"
-"$CLI" validate-bench results/fleet_capacity.tsv
-
 echo "== CLI smoke: profile (site attribution, 1 workload x 2 schemes)"
 prof_out=$("$CLI" profile -w kmeans -s sgxbounds -n 512 --json)
 if command -v jq >/dev/null 2>&1; then
@@ -205,20 +191,6 @@ trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed"' EXIT
 "$CLI" profile -w kmeans -s sgxbounds -n 512 --out "$collapsed" >/dev/null
 test -s "$collapsed"
 grep -Eq '^[^ ]+ [0-9]+$' "$collapsed"
-
-echo "== profile --diff sgxbounds:mpx: regenerate, compare to committed"
-# MPX's extra cycles over SGXBounds must land on bounds-table sites, and
-# the committed diff must be exactly what this command prints.
-diff_tmp=$(mktemp /tmp/sgxbounds-profdiff.XXXXXX.json)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$diff_tmp"' EXIT
-"$CLI" profile --app memcached --diff sgxbounds:mpx --requests 50 --json >"$diff_tmp"
-if command -v jq >/dev/null 2>&1; then
-  jq -e '[.sites[].by_bucket.bounds_table] | add > 0' "$diff_tmp" >/dev/null
-else
-  grep -q '"bounds_table"' "$diff_tmp"
-fi
-cmp "$diff_tmp" results/profile_diff_memcached.json
-rm -f "$diff_tmp"
 
 echo "== bench score: deterministic perf gate vs committed baseline"
 score_a=$(mktemp /tmp/sgxbounds-score-a.XXXXXX.json)
@@ -335,25 +307,11 @@ if command -v jq >/dev/null 2>&1; then
   echo "$sym_corpus" | jq -e '[.cells[] | select(.scheme == "sgxbounds") | .status != "flagged"] | all' >/dev/null
 fi
 
-echo "== interface matrix: regenerate with -j 2, compare to committed, validate"
-matrix_tmp=$(mktemp /tmp/sgxbounds-matrix.XXXXXX.tsv)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$score_a" "$score_b" "$matrix_tmp"' EXIT
-"$CLI" analyze --symbolic --matrix "$matrix_tmp" -j 2 >/dev/null
-cmp "$matrix_tmp" results/interface_matrix.tsv
-"$CLI" validate-bench results/interface_matrix.tsv
-
 echo "== optimizer selftest: certificates, tamper rejection, determinism"
 # Exits non-zero if any certificate fails verification (static or
 # runtime), if a tampered plan slips through, or if plans differ
 # across engines.
 "$CLI" analyze --optimize --selftest >/dev/null
-
-echo "== check elision table: regenerate with -j 2, compare to committed, validate"
-elision_tmp=$(mktemp /tmp/sgxbounds-elision.XXXXXX.tsv)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$score_a" "$score_b" "$matrix_tmp" "$elision_tmp"' EXIT
-"$CLI" analyze --optimize -j 2 --out "$elision_tmp" >/dev/null
-cmp "$elision_tmp" results/check_elision.tsv
-"$CLI" validate-bench results/check_elision.tsv
 
 echo "== fuzz smoke: 200 symbolic seed traces through the differential oracle"
 "$CLI" fuzz --symbolic-seeds 200 -q
@@ -391,6 +349,12 @@ if "$CLI" analyze -s nosuchscheme >/dev/null 2>&1; then
   echo "expected failure for unknown analyze scheme" >&2
   exit 1
 fi
+for bad in "run -w kmeans -n 0" "stats -w kmeans -n 0" "run -w kmeans -t 0"; do
+  if "$CLI" $bad >/dev/null 2>&1; then
+    echo "expected failure for non-positive size or thread count: $bad" >&2
+    exit 1
+  fi
+done
 if SGXBOUNDS_ENGINE=trace "$CLI" list >/dev/null 2>&1; then
   echo "expected failure for the removed trace engine" >&2
   exit 1

@@ -138,12 +138,6 @@ let tsv_line (p : point) =
       st.Service.dropped st.Service.max_queue s.Latency.p50 s.Latency.p95
       s.Latency.p99 s.Latency.mean s.Latency.max
 
-(** Write the sweep as a TSV table (one row per point), creating the
-    directory if needed. *)
-let write_tsv ~path points =
-  let dir = Filename.dirname path in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out path in
-  output_string oc (tsv_header ^ "\n");
-  List.iter (fun p -> output_string oc (tsv_line p ^ "\n")) points;
-  close_out oc
+(** The sweep as a TSV table, one row per point. *)
+let to_tsv points =
+  String.concat "" (List.map (fun l -> l ^ "\n") (tsv_header :: List.map tsv_line points))
