@@ -14,11 +14,9 @@ let class_size size =
   else if size <= 65536 then Util.align_up size 256
   else Util.align_up size 4096
 
-type chunk = { size : int }
-
 type t = {
   ms : Memsys.t;
-  live : (int, chunk) Hashtbl.t;        (* payload addr -> chunk *)
+  live : (int, int) Hashtbl.t;          (* payload addr -> class size *)
   freelists : (int, int list ref) Hashtbl.t;  (* class size -> payload addrs *)
   mutable seg_cur : int;                (* bump pointer in current segment *)
   mutable seg_end : int;
@@ -38,9 +36,9 @@ let create ms =
   }
 
 let freelist t cls =
-  match Hashtbl.find_opt t.freelists cls with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find t.freelists cls with
+  | l -> l
+  | exception Not_found ->
     let l = ref [] in
     Hashtbl.replace t.freelists cls l;
     l
@@ -73,25 +71,25 @@ let alloc t size =
   in
   (* Write the chunk header (size word) for cache realism. *)
   Memsys.store t.ms ~addr:(payload - header_size) ~width:8 cls;
-  Hashtbl.replace t.live payload { size = cls };
+  Hashtbl.replace t.live payload cls;
   t.live_bytes <- t.live_bytes + cls;
   t.total_allocated <- t.total_allocated + cls;
   payload
 
 let chunk_size t addr =
-  match Hashtbl.find_opt t.live addr with
-  | Some c -> c.size
-  | None -> invalid_arg "Freelist.chunk_size: not a live chunk"
+  match Hashtbl.find t.live addr with
+  | size -> size
+  | exception Not_found -> invalid_arg "Freelist.chunk_size: not a live chunk"
 
 let free t addr =
-  match Hashtbl.find_opt t.live addr with
-  | None -> invalid_arg "Freelist.free: not a live chunk"
-  | Some c ->
+  match Hashtbl.find t.live addr with
+  | exception Not_found -> invalid_arg "Freelist.free: not a live chunk"
+  | size ->
     Memsys.charge_alu t.ms 25;
     Memsys.touch t.ms ~addr:(addr - header_size) ~width:8;
     Hashtbl.remove t.live addr;
-    t.live_bytes <- t.live_bytes - c.size;
-    let fl = freelist t c.size in
+    t.live_bytes <- t.live_bytes - size;
+    let fl = freelist t size in
     fl := addr :: !fl
 
 let is_live t addr = Hashtbl.mem t.live addr

@@ -1,14 +1,14 @@
 module Memsys = Sb_sgx.Memsys
 module Eff = Sb_machine.Eff
 module Config = Sb_machine.Config
-open Effect.Shallow
+open Effect.Deep
 
 type t = Memsys.t
 
-type state =
-  | Pending of (unit -> unit)
-  | Suspended of (unit, unit) continuation
-  | Finished
+(* Thread states. *)
+let pending = 0
+let suspended = 1
+let finished = 2
 
 let yield () = if Eff.scheduler_active () then Effect.perform Eff.Yield
 
@@ -32,46 +32,56 @@ let run_some ms fns n =
   for i = 0 to n - 1 do
     Memsys.set_clock ms i start
   done;
-  let state = Array.map (fun f -> Pending f) fns in
-  (* Resume the runnable thread whose clock is smallest: simulated
-     parallel time advances evenly across cores. *)
+  (* Per-thread state, one int each: nothing is allocated when a
+     thread changes state. *)
+  let state = Array.make n pending in
+  (* The continuation of each suspended thread. The array is made from
+     the first continuation the region captures: a slot is read only
+     while its thread is [suspended], and by then it holds that thread's
+     own continuation. *)
+  let conts = ref [||] in
+  (* Resume the runnable thread whose clock is smallest (the lowest id
+     on a tie): simulated parallel time advances evenly across cores.
+     -1 when every thread has finished. *)
   let pick () =
     let best = ref (-1) in
     for i = 0 to n - 1 do
-      match state.(i) with
-      | Finished -> ()
-      | Pending _ | Suspended _ ->
-        if !best < 0 || Memsys.get_clock ms i < Memsys.get_clock ms !best then best := i
+      if state.(i) <> finished
+         && (!best < 0 || Memsys.get_clock ms i < Memsys.get_clock ms !best)
+      then best := i
     done;
-    if !best < 0 then None else Some !best
+    !best
   in
+  (* One deep handler per thread, built once per region along with the
+     [Some] its [effc] returns for [Yield]: a yield allocates only the
+     continuation the runtime captures. Other effects are forwarded to
+     the enclosing handler; exceptions propagate out of [loop]. *)
   let handler i =
+    let suspend =
+      Some
+        (fun (k : (unit, unit) continuation) ->
+           if Array.length !conts = 0 then conts := Array.make n k;
+           !conts.(i) <- k;
+           state.(i) <- suspended)
+    in
     {
-      retc = (fun () -> state.(i) <- Finished);
+      retc = (fun () -> state.(i) <- finished);
       exnc = raise;
       effc =
-        (fun (type a) (eff : a Effect.t) ->
-           match eff with
-           | Eff.Yield ->
-             Some (fun (k : (a, unit) continuation) -> state.(i) <- Suspended k)
-           | _ -> None);
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+           match eff with Eff.Yield -> suspend | _ -> None);
     }
   in
+  let handlers = Array.init n handler in
+  (* Each resume returns when the thread next yields or finishes. *)
   let rec loop () =
-    match pick () with
-    | None -> ()
-    | Some i ->
+    let i = pick () in
+    if i >= 0 then begin
       Memsys.set_thread ms i;
-      (match state.(i) with
-       | Pending f ->
-         state.(i) <- Finished;
-         (* default in case f never yields *)
-         continue_with (fiber f) () (handler i)
-       | Suspended k ->
-         state.(i) <- Finished;
-         continue_with k () (handler i)
-       | Finished -> assert false);
+      if state.(i) = pending then match_with fns.(i) () handlers.(i)
+      else continue !conts.(i) ();
       loop ()
+    end
   in
   (match Domain.DLS.get region_tracer_key with
    | Some tracer -> tracer n

@@ -6,18 +6,19 @@ type t = {
   capacity : int;
   slots : int array;            (* page number per slot, -1 = free *)
   refbit : Bytes.t;
-  index : (int, int) Hashtbl.t; (* page -> slot *)
-  (* Fast engine: direct-mapped page -> slot table (-1 = not resident)
-     covering the simulated address space, mirroring [index] exactly.
-     Turns the residency probe on every DRAM access into two array reads
-     instead of a hashtable lookup. Two-level like {!Sb_vmem.Vmem}'s
-     page table: a directory of [leaf_size]-page leaves, each starting
-     on the shared, never-written [empty_leaf] and given its own leaf on
-     the first insert into it. [index] stays authoritative — it is
-     maintained in both engines and still serves pages outside the
-     table's range (garbage addresses reach the EPC before Vmem faults
-     them). [table_pages] is 0 when naive or when the address-space size
-     was not supplied. *)
+  (* Residency index, page -> slot, split by range. Pages in
+     [0, table_pages) live only in [table], a direct-mapped table over
+     the simulated address space (fast engine): the probe on every DRAM
+     access is two array reads and a fault writes two array cells.
+     Two-level like {!Sb_vmem.Vmem}'s page table: a directory of
+     [leaf_size]-page leaves, each starting on the shared, never-written
+     [empty_leaf] and given its own leaf on the first insert into it.
+     Every other page lives in [index]: garbage addresses reach the EPC
+     before Vmem faults them, and the naive engine (or a caller that did
+     not supply the address-space size) has [table_pages] = 0, so there
+     the hashtable is the whole index — the reference the fast engine
+     is tested against. *)
+  index : (int, int) Hashtbl.t;
   table : int array array;
   table_pages : int;
   mutable hand : int;
@@ -28,12 +29,16 @@ type t = {
   (* Fast engine: last-page residency memo. Valid whenever it matches:
      the memo is overwritten by every touch, so a matching page was the
      immediately preceding access and is necessarily still resident in
-     [last_slot] — no eviction can have intervened. Skips the hashtable
-     lookup for same-page streaks. -1 = no memo (naive engine). *)
+     [last_slot] — no eviction can have intervened. Skips the index
+     probe for same-page streaks. [no_page] = no memo (naive engine). *)
   mutable last_page : int;
   mutable last_slot : int;
   fast : bool;
 }
+
+(* The empty memo: not a page number, unlike -1, which a caller may
+   touch. *)
+let no_page = min_int
 
 let leaf_bits = 10
 let leaf_size = 1 lsl leaf_bits
@@ -56,21 +61,37 @@ let create ?(num_pages = 0) ~capacity_pages () =
     faults = 0;
     evictions = 0;
     tracer = None;
-    last_page = -1;
+    last_page = no_page;
     last_slot = 0;
     fast;
   }
 
-let table_set t page slot =
-  if page >= 0 && page < t.table_pages then begin
+let in_table t page = page >= 0 && page < t.table_pages
+
+(* Record [page] as resident in [slot], or as not resident when [slot]
+   is -1. *)
+let set_slot t page slot =
+  if in_table t page then begin
     let d = page lsr leaf_bits in
     if t.table.(d) == empty_leaf then t.table.(d) <- Array.make leaf_size (-1);
     Array.unsafe_set t.table.(d) (page land leaf_mask) slot
   end
+  else if slot < 0 then Hashtbl.remove t.index page
+  else Hashtbl.replace t.index page slot
 
 let set_tracer t tracer = t.tracer <- tracer
 
-let emit t ev = match t.tracer with None -> () | Some f -> f ev
+(* CLOCK sweep: clear reference bits until an unreferenced victim is
+   found; terminates within two laps. Leaves the hand just past the
+   victim. *)
+let sweep t =
+  let s = ref t.hand in
+  while Bytes.get t.refbit !s = '\001' do
+    Bytes.set t.refbit !s '\000';
+    s := (!s + 1) mod t.capacity
+  done;
+  t.hand <- (!s + 1) mod t.capacity;
+  !s
 
 let rec touch t ~page =
   if page = t.last_page then begin
@@ -81,13 +102,9 @@ let rec touch t ~page =
 
 and touch_slow t ~page =
   let slot =
-    (* Residency probe: direct-mapped table when the page is inside the
-       simulated address space, hashtable otherwise. Both views are kept
-       in sync on every insert and eviction. *)
-    if page >= 0 && page < t.table_pages then
+    if in_table t page then
       Array.unsafe_get (Array.unsafe_get t.table (page lsr leaf_bits)) (page land leaf_mask)
-    else
-      match Hashtbl.find_opt t.index page with Some s -> s | None -> -1
+    else match Hashtbl.find_opt t.index page with Some s -> s | None -> -1
   in
   if slot >= 0 then begin
     if t.fast then begin
@@ -106,31 +123,20 @@ and touch_slow t ~page =
         s
       end
       else begin
-        (* CLOCK sweep: clear reference bits until an unreferenced victim
-           is found; guaranteed to terminate within two laps. *)
-        let rec sweep () =
-          let s = t.hand in
-          t.hand <- (t.hand + 1) mod t.capacity;
-          if Bytes.get t.refbit s = '\001' then begin
-            Bytes.set t.refbit s '\000';
-            sweep ()
-          end
-          else s
-        in
-        let s = sweep () in
+        let s = sweep t in
         t.evictions <- t.evictions + 1;
         let victim = t.slots.(s) in
-        emit t (Evict { page = victim; slot = s });
-        Hashtbl.remove t.index victim;
-        table_set t victim (-1);
+        (match t.tracer with
+         | None -> ()
+         | Some f -> f (Evict { page = victim; slot = s }));
+        set_slot t victim (-1);
         s
       end
     in
-    emit t (Fault { page });
+    (match t.tracer with None -> () | Some f -> f (Fault { page }));
     t.slots.(slot) <- page;
     Bytes.set t.refbit slot '\001';
-    Hashtbl.replace t.index page slot;
-    table_set t page slot;
+    set_slot t page slot;
     if t.fast then begin
       t.last_page <- page;
       t.last_slot <- slot
@@ -156,5 +162,5 @@ let clear t =
   t.used <- 0;
   t.faults <- 0;
   t.evictions <- 0;
-  t.last_page <- -1;
+  t.last_page <- no_page;
   t.last_slot <- 0

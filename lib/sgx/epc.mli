@@ -22,9 +22,15 @@ type event =
 
 (** [create ?num_pages ~capacity_pages ()] builds an EPC with
     [capacity_pages] slots. [num_pages] is the size of the simulated
-    address space in pages; when given (and the fast engine is active)
-    residency lookups use a direct-mapped page table of that size
-    instead of a hashtable — behaviour is identical either way. *)
+    address space in pages. When it is given and the fast engine is
+    active, pages in [[0, num_pages)] are indexed only by a
+    direct-mapped page table of that size: a hit is two array reads,
+    and a fault or eviction allocates nothing (once the table leaf it
+    lands in exists) unless a tracer is installed. A hashtable serves
+    the other pages (garbage addresses reach the EPC before the virtual
+    memory faults them) and, with no table at all, the naive engine;
+    that hashtable-only EPC is the reference the table is tested
+    against, with the same faults, evictions and victims. *)
 val create : ?num_pages:int -> capacity_pages:int -> unit -> t
 
 (** Install (or remove, with [None]) an event callback. The memory

@@ -223,6 +223,81 @@ let check_kernel where kernel =
 
 let test_memsys_kernel () = check_kernel "memsys" memsys_kernel
 
+(* ------------------------------------------------------------------ *)
+(* Epc-level: the direct-mapped residency table vs the hashtable       *)
+(* ------------------------------------------------------------------ *)
+
+module Epc = Sb_sgx.Epc
+
+(* One page stream over all three index ranges — in-table pages
+   (spanning several table leaves), pages at or past [num_pages] and
+   negative pages — with same-page streaks for the last-page memo and a
+   capacity small enough that every range evicts every other. *)
+let epc_stream ~num_pages ~len =
+  let rng = Sb_machine.Rng.create 7 in
+  let page = ref 0 in
+  Array.init len (fun _ ->
+      (match Sb_machine.Rng.int rng 8 with
+       | 0 -> ()
+       | 1 -> page := num_pages + Sb_machine.Rng.int rng 40
+       | 2 -> page := -1 - Sb_machine.Rng.int rng 40
+       | _ -> page := Sb_machine.Rng.int rng num_pages);
+      !page)
+
+(* At every step the fast EPC (table for in-range pages), a fast EPC
+   without a table and the naive reference agree on the touch result,
+   faults, evictions and residency — also across a [clear]. *)
+let test_epc_index () =
+  let num_pages = 3000 and capacity_pages = 24 in
+  let table = Fastpath.with_kind Fastpath.Fast (fun () ->
+      Epc.create ~num_pages ~capacity_pages ()) in
+  let memo_only = Fastpath.with_kind Fastpath.Fast (fun () ->
+      Epc.create ~capacity_pages ()) in
+  let reference = Fastpath.with_kind Fastpath.Naive (fun () ->
+      Epc.create ~num_pages ~capacity_pages ()) in
+  let stream = epc_stream ~num_pages ~len:20_000 in
+  let check where (e : Epc.t) =
+    check_int (where ^ " faults") (Epc.faults e) (Epc.faults reference);
+    check_int (where ^ " evictions") (Epc.evictions e) (Epc.evictions reference);
+    check_int (where ^ " resident") (Epc.resident_pages e) (Epc.resident_pages reference)
+  in
+  Array.iteri
+    (fun i page ->
+       if i = 12_000 then List.iter Epc.clear [ table; memo_only; reference ];
+       let r = Epc.touch reference ~page in
+       List.iter
+         (fun (name, e) ->
+            let where = Printf.sprintf "%s step %d page %d" name i page in
+            Alcotest.(check bool) (where ^ " touch") r (Epc.touch e ~page);
+            check where e)
+         [ ("table", table); ("memo-only", memo_only) ])
+    stream;
+  Alcotest.(check bool) "stream evicts" true (Epc.evictions reference > 5_000)
+
+(* With a tracer installed both engines report the same event sequence:
+   one event per fault and per eviction, each eviction just before the
+   fault that caused it. *)
+let test_epc_tracer () =
+  let num_pages = 3000 in
+  let stream = epc_stream ~num_pages ~len:5_000 in
+  let run () =
+    let e = Epc.create ~num_pages ~capacity_pages:24 () in
+    let events = ref [] in
+    Epc.set_tracer e (Some (fun ev -> events := ev :: !events));
+    Array.iter (fun page -> ignore (Epc.touch e ~page)) stream;
+    (List.rev !events, Epc.faults e, Epc.evictions e)
+  in
+  let (ef, faults, evictions), (en, _, _) = both run in
+  check_int "events = faults + evictions" (List.length ef) (faults + evictions);
+  Alcotest.(check bool) "fast = naive events" true (ef = en);
+  let rec pairs = function
+    | Epc.Evict _ :: (Epc.Fault _ :: _ as rest) -> pairs rest
+    | Epc.Evict _ :: _ -> Alcotest.fail "Evict not followed by its Fault"
+    | Epc.Fault _ :: rest -> pairs rest
+    | [] -> ()
+  in
+  pairs ef
+
 (* Every access shape the same-line batching distinguishes: contiguous
    scans at all widths (aligned and unaligned, so accesses straddle
    cache lines), larger strides with per-access splits, backward scans,
@@ -544,6 +619,9 @@ let suite =
       test_memsys_kernel;
     Alcotest.test_case "fast = naive: vmem codecs, faults, accounting" `Quick
       test_vmem_kernel;
+    Alcotest.test_case "fast = naive: EPC index, out-of-range and negative pages"
+      `Quick test_epc_index;
+    Alcotest.test_case "fast = naive: EPC tracer events" `Quick test_epc_tracer;
     Alcotest.test_case "fast = naive: stride patterns, breaks, probes" `Quick test_patterns;
     Alcotest.test_case "fast = naive: unmap/protect mid-stream" `Quick test_remap;
     Alcotest.test_case "fast = naive: free/realloc through a scheme" `Quick test_alloc;

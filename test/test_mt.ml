@@ -98,6 +98,56 @@ let test_nested_run_rejected () =
 
 let test_yield_outside_region_is_noop () = Mt.yield ()
 
+(* A yield allocates only the continuation the runtime captures: the
+   handlers and their [Some] results are built once per region. *)
+let test_yield_allocation () =
+  let m = ms () in
+  let yields_per_thread = 2_000 in
+  let worker () =
+    for _ = 1 to yields_per_thread do
+      Memsys.charge_alu m 1;
+      Mt.yield ()
+    done
+  in
+  let fns = Array.make 8 worker in
+  Mt.run m fns;
+  let w0 = Gc.minor_words () in
+  Mt.run m fns;
+  let w = Gc.minor_words () -. w0 in
+  let yields = 8 * yields_per_thread in
+  if w > 4. *. float_of_int yields then
+    Alcotest.failf "%.0f minor words over %d yields (%.2f per yield)" w yields
+      (w /. float_of_int yields)
+
+type _ Effect.t += Ask : int -> int Effect.t
+
+(* Effects other than [Yield] reach the handler around [Mt.run], and the
+   thread resumes where it performed them. *)
+let test_other_effects_forwarded () =
+  let m = ms () in
+  let got = Array.make 3 0 in
+  let worker i () =
+    for r = 1 to 4 do
+      got.(i) <- got.(i) + Effect.perform (Ask (i + r));
+      Memsys.charge_alu m (1 + i);
+      Mt.yield ()
+    done
+  in
+  Effect.Deep.try_with
+    (fun () -> Mt.run m (Array.init 3 worker))
+    ()
+    {
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+           match eff with
+           | Ask x ->
+             Some (fun (k : (a, unit) Effect.Deep.continuation) ->
+                 Effect.Deep.continue k (10 * x))
+           | _ -> None);
+    };
+  Alcotest.(check (array int)) "each thread saw its answers" [| 100; 140; 180 |] got;
+  Alcotest.(check bool) "scheduler deactivated" false (Sb_machine.Eff.scheduler_active ())
+
 let suite =
   [
     Alcotest.test_case "all threads run" `Quick test_all_threads_run;
@@ -110,6 +160,9 @@ let suite =
     Alcotest.test_case "exceptions propagate and reset scheduler" `Quick test_exception_propagates_and_resets;
     Alcotest.test_case "nested regions rejected" `Quick test_nested_run_rejected;
     Alcotest.test_case "yield outside region is a no-op" `Quick test_yield_outside_region_is_noop;
+    Alcotest.test_case "a yield allocates <= 4 words" `Quick test_yield_allocation;
+    Alcotest.test_case "other effects reach the outer handler" `Quick
+      test_other_effects_forwarded;
   ]
 
 (* --- service-layer hardening: fairness, channel ops, exhaustion --- *)

@@ -34,6 +34,31 @@ let test_epc_clear () =
   Alcotest.(check int) "cleared" 0 (Epc.resident_pages e);
   Alcotest.(check bool) "faults again" false (Epc.touch e ~page:1)
 
+(* A fault on the fast engine's table-indexed pages allocates nothing:
+   no hashtable, no event record without a tracer, no sweep closure.
+   Cycling over twice the capacity makes CLOCK evict on every touch.
+   The first lap runs before the window and makes the table leaves. *)
+let test_epc_fault_allocates_nothing () =
+  Sb_machine.Fastpath.with_kind Sb_machine.Fastpath.Fast @@ fun () ->
+  let cap = 64 in
+  let e = Epc.create ~num_pages:(4 * cap) ~capacity_pages:cap () in
+  let lap () =
+    for p = 0 to (2 * cap) - 1 do
+      ignore (Epc.touch e ~page:p)
+    done
+  in
+  lap ();
+  let f0 = Epc.faults e and e0 = Epc.evictions e in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 80 do
+    lap ()
+  done;
+  let w = Gc.minor_words () -. w0 in
+  let faults = Epc.faults e - f0 in
+  Alcotest.(check bool) ">= 10 000 faults" true (faults >= 10_000);
+  Alcotest.(check int) "evicts on every fault" faults (Epc.evictions e - e0);
+  if w > 0. then Alcotest.failf "%.0f minor words over %d faults" w faults
+
 let test_memsys_inside_pays_more_than_outside () =
   (* A working set far beyond every cache: inside the enclave each DRAM
      access pays the MEE premium. *)
@@ -134,6 +159,7 @@ let suite =
     Alcotest.test_case "EPC: capacity respected" `Quick test_epc_capacity_respected;
     Alcotest.test_case "EPC: eviction under pressure" `Quick test_epc_eviction_cycles;
     Alcotest.test_case "EPC: clear" `Quick test_epc_clear;
+    Alcotest.test_case "EPC: a fault allocates nothing" `Quick test_epc_fault_allocates_nothing;
     Alcotest.test_case "inside enclave pays MEE premium" `Quick test_memsys_inside_pays_more_than_outside;
     Alcotest.test_case "EPC thrashing counts faults" `Quick test_memsys_epc_thrashing_counts_faults;
     Alcotest.test_case "small working set: warmup faults only" `Quick test_memsys_small_ws_no_faults_after_warmup;
