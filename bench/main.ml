@@ -5,16 +5,18 @@
     Usage:
       dune exec bench/main.exe            # everything
       dune exec bench/main.exe fig7 fig8  # selected experiments
-      dune exec bench/main.exe bechamel   # wall-clock micro-benchmarks
       dune exec bench/main.exe -- -j 4 fig7        # grid cells across 4 domains
       dune exec bench/main.exe -- -j 2 reproduce   # rewrite + byte-compare results/
-      dune exec bench/main.exe -- throughput       # engine speed -> BENCH_PR7.json
-      dune exec bench/main.exe -- --smoke --out /tmp/b.json throughput
+      dune exec bench/main.exe -- -j 2 engines     # fast engine == naive engine
+      dune exec bench/main.exe -- --smoke --baseline BENCH.json score
 
     Flags: [-j N | --jobs N] fan independent (scheme x workload) cells of
     the figure sweeps across N OCaml domains (results are bit-for-bit
-    those of -j 1); [--smoke] shrinks the throughput bench for CI;
-    [--out FILE] redirects the throughput JSON report.
+    those of -j 1); [--smoke] shrinks fig13curves, fleetcap and the
+    score kernels; [--out FILE] redirects the score document (default
+    BENCH.json); [--baseline FILE], [--tolerance PCT] and [--label L]
+    drive the score gate. Host time is measured by the ledger
+    (bench/ledger), not here.
 
     Absolute numbers are simulation cycles, not Skylake cycles; what is
     expected to match the paper is the *shape*: who wins, by what rough
@@ -33,11 +35,10 @@ module Json = Sb_telemetry.Json
 
 (* Runner options, set by the CLI flags (--jobs N, --smoke, --out FILE,
    --baseline FILE, --tolerance PCT, --label L) before any experiment
-   runs. [out_file] stays [None] unless --out was given: throughput and
-   score write different default files. *)
+   runs. *)
 let jobs = ref 1
 let smoke = ref false
-let out_file : string option ref = ref None
+let out_file = ref "BENCH.json"
 let baseline_file : string option ref = ref None
 let tolerance = ref 25
 let label = ref "HEAD"
@@ -688,70 +689,6 @@ let case_security () =
     schemes
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock micro-benchmarks: one per table/figure          *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  header "Bechamel micro-benchmarks (host wall-clock per experiment cell)";
-  let open Bechamel in
-  let cell name f = Test.make ~name (Staged.stage f) in
-  let small wname n scheme () =
-    let ms = Memsys.create (Config.default ()) in
-    let ctx = Wctx.make (Harness.maker scheme ms) in
-    (Registry.find wname).Registry.run ctx ~n
-  in
-  let tests =
-    Test.make_grouped ~name:"figures"
-      [
-        cell "fig1:sqlite-cell" (fun () ->
-            let ms = Memsys.create (Config.default ()) in
-            Sb_apps.Sqlite_sim.speedtest (Wctx.make (Harness.maker "sgxbounds" ms)) ~items:200);
-        cell "fig2:hierarchy-probe" (fun () ->
-            let ms = Memsys.create (Config.default ()) in
-            let vm = Memsys.vmem ms in
-            let a = Sb_vmem.Vmem.map vm ~len:65536 ~perm:Sb_vmem.Vmem.Read_write () in
-            for i = 0 to 999 do
-              ignore (Memsys.load ms ~addr:(a + (i * 64 mod 65536)) ~width:8)
-            done);
-        cell "fig7:kmeans-cell" (small "kmeans" 2048 "sgxbounds");
-        cell "fig8:kmeans-xs-cell" (small "kmeans" 1024 "asan");
-        cell "fig9:swaptions-cell" (small "swaptions" 512 "asan");
-        cell "fig10:ablation-cell" (small "kmeans" 2048 "sgxbounds-noopt");
-        cell "table3:matrixmul-cell" (small "matrixmul" 32 "mpx");
-        cell "table4:ripe-matrix" (fun () ->
-            let ms = Memsys.create (Config.default ()) in
-            ignore (Sb_ripe.Ripe.run_all (Harness.maker "sgxbounds" ms)));
-        cell "fig11:mcf-cell" (small "mcf" 4096 "sgxbounds");
-        cell "fig12:outside-cell" (fun () ->
-            let ms = Memsys.create (Config.default ~env:Config.Outside_enclave ()) in
-            let ctx = Wctx.make (Harness.maker "sgxbounds" ms) in
-            (Registry.find "hmmer").Registry.run ctx ~n:16384);
-        cell "fig13:memcached-cell" (fun () ->
-            let ms = Memsys.create (Config.default ()) in
-            let t = Sb_apps.Memcached_sim.create (Wctx.make (Harness.maker "sgxbounds" ms)) in
-            ignore (Sb_apps.Memcached_sim.memaslap t ~keys:256 ~ops:1000));
-      ]
-  in
-  let benchmark () =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
-    Benchmark.all cfg instances tests
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-       match Bechamel.Analyze.OLS.estimates ols with
-       | Some [ est ] -> Fmt.pr "%-28s %12.0f ns/run@." name est
-       | _ -> Fmt.pr "%-28s (no estimate)@." name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Extensions: §8 sensitivity sweep and design-choice ablations        *)
 (* ------------------------------------------------------------------ *)
 
@@ -937,136 +874,49 @@ let reproduce () =
   if orphans <> [] || List.exists (fun (_, st) -> st <> Reproduce.Same) statuses then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Throughput: host wall-clock speed of the simulator itself           *)
+(* Engines: the fast memory engine against the naive reference        *)
 (* ------------------------------------------------------------------ *)
 
-(* A representative access mix over one Memsys, mirroring what the
-   protection schemes actually generate: hot-word counter updates
-   (same-line traffic — the MRU/memo fast paths), strlen-style byte
-   scans, byte store sweeps, sequential word scans, strcpy-style string
-   churn (touch_range + Vmem string ops, as in Simlibc), pseudo-random
-   loads (misses + EPC pressure) and bulk fill/blit. Deterministic. *)
-let throughput_kernel ms ~buf ~buf_len ~rounds =
-  let vm = Memsys.vmem ms in
-  let words = buf_len / 8 in
-  let rng = Sb_machine.Rng.create 42 in
-  let str = String.init 240 (fun i -> Char.chr (33 + (i mod 94))) in
-  for r = 1 to rounds do
-    (* 1. hot-word hammer: loop counters and accumulators *)
-    for i = 1 to 8192 do
-      let v = Memsys.load ms ~addr:buf ~width:8 in
-      Memsys.store ms ~addr:buf ~width:8 (v + i)
-    done;
-    (* 2. strlen-style byte scan over 16 KiB *)
-    for b = 0 to 16383 do
-      ignore (Memsys.load ms ~addr:(buf + b) ~width:1)
-    done;
-    (* 3. byte store sweep over one page *)
-    for b = 0 to 4095 do
-      Memsys.store ms ~addr:(buf + b) ~width:1 ((b + r) land 0xff)
-    done;
-    (* 4. sequential word scan over 64 KiB *)
-    let i = ref 0 in
-    while !i < 65536 do
-      ignore (Memsys.load ms ~addr:(buf + !i) ~width:8);
-      i := !i + 8
-    done;
-    (* 5. string churn: strcpy-in / strcpy-out pairs (Simlibc pattern) *)
-    for s = 0 to 255 do
-      let a = buf + 65536 + (s * 256) in
-      Memsys.touch_range ms ~addr:a ~len:240;
-      Sb_vmem.Vmem.write_string vm ~addr:a str;
-      Memsys.touch_range ms ~addr:a ~len:240;
-      ignore (Sb_vmem.Vmem.read_string vm ~addr:a ~len:240)
-    done;
-    (* 6. random word loads over the whole buffer (EPC pressure) *)
-    for _ = 1 to 2048 do
-      let w = Sb_machine.Rng.int rng words in
-      ignore (Memsys.load ms ~addr:(buf + (w * 8)) ~width:8)
-    done;
-    (* 7. bulk fill + copy *)
-    Memsys.fill ms ~addr:buf ~len:16384 ~byte:(r land 0xff);
-    Memsys.blit ms ~src:buf ~dst:(buf + 131072) ~len:16384
-  done
-
-(* Simulated memory accesses per host second for one engine. The engine
-   selection is sampled by every component at [Memsys.create], so the
-   whole machine must be built inside [with_kind]. Also returns the
-   post-run snapshot so the caller can assert the two engines agree
-   bit-for-bit on the kernel's simulated stats. *)
-let measure_engine ~kind ~rounds =
-  Fastpath.with_kind kind (fun () ->
-      let ms = Memsys.create (Config.default ()) in
-      let vm = Memsys.vmem ms in
-      let buf_len = 256 * 1024 in
-      let buf = Sb_vmem.Vmem.map vm ~len:buf_len ~perm:Sb_vmem.Vmem.Read_write () in
-      throughput_kernel ms ~buf ~buf_len ~rounds:1 (* warm-up *);
-      Memsys.reset ms;
-      let t0 = Unix.gettimeofday () in
-      throughput_kernel ms ~buf ~buf_len ~rounds;
-      let dt = Unix.gettimeofday () -. t0 in
-      let snap = Memsys.snapshot ms in
-      let accesses = snap.Memsys.mem_accesses in
-      (float_of_int accesses /. dt, accesses, dt, snap))
-
-let scaling_cells ~divisor =
-  List.concat_map
-    (fun wname ->
-       let w = Registry.find wname in
-       let n = max 64 (w.Registry.default_n / divisor) in
-       List.map
-         (fun scheme -> Parallel_runner.cell ~n ~scheme w)
-         [ "native"; "mpx"; "asan"; "sgxbounds" ])
-    [ "kmeans"; "histogram"; "linear_regression"; "matrixmul" ]
-
-let grid_time ~jobs cells =
-  let t0 = Unix.gettimeofday () in
-  ignore (Parallel_runner.run_cells ~jobs cells);
-  Unix.gettimeofday () -. t0
-
-(* Best of [reps] measurements: throughput microbenches take the best
-   run to shed scheduler/GC noise — the minimum achievable time is the
-   property of the code, the rest is the host. *)
-let best_of reps f =
-  let rec go i ((best_rate, _, _, _) as best) =
-    if i >= reps then best
-    else
-      let ((rate, _, _, _) as r) = f () in
-      go (i + 1) (if rate > best_rate then r else best)
-  in
-  go 1 (f ())
-
-(* Engine agreement sweep: every workload x scheme of the harness
-   line-up, run to completion under both engines, all simulated
-   metrics compared structurally (cycles, instrs, accesses, cache,
-   EPC, attribution, checks, violations — and crash identity for cells
-   that die, like MPX out of enclave memory). Returns the cell count
-   and an order-sensitive fingerprint of the agreed-on metrics, so a
-   committed BENCH document pins *what* the engines agreed on, not just
-   that they did. *)
-let agreement_sweep ~divisor =
+(** Every registry workload under every harness scheme at 1/32 of its
+    default size, run to completion once under each engine with all
+    simulated metrics compared structurally (cycles, instrs, accesses,
+    cache, EPC, attribution, checks, violations, and crash identity for
+    cells that die, like MPX out of enclave memory). The engine is
+    sampled at [Memsys.create], inside each cell, so one [with_kind]
+    around a pass covers every domain the pass fans out to. Prints the
+    cell count and an order-sensitive fingerprint of the agreed-on
+    metrics, so a run pins {e what} the engines agreed on, not only
+    that they did; exits 1 on any mismatch. *)
+let engines () =
+  header "Engines: fast vs naive over every workload x scheme (n / 32)";
   let cells =
     List.concat_map
       (fun (w : Registry.spec) ->
-         let n = max 64 (w.Registry.default_n / divisor) in
-         List.map (fun scheme -> (w, scheme, n)) Harness.scheme_names)
+         let n = max 64 (w.Registry.default_n / 32) in
+         List.map (fun scheme -> Parallel_runner.cell ~n ~scheme w) Harness.scheme_names)
       Registry.all
   in
-  let run kind =
-    Fastpath.with_kind kind (fun () ->
-        List.map
-          (fun ((w : Registry.spec), scheme, n) -> Harness.run_one ~n ~scheme w)
-          cells)
+  let pass kind =
+    Fastpath.with_kind kind (fun () -> Parallel_runner.run_cells ~jobs:!jobs cells)
   in
-  let naive = run Fastpath.Naive in
-  let fast = run Fastpath.Fast in
-  let mismatches = ref [] in
-  List.iteri
-    (fun i ((w : Registry.spec), scheme, _) ->
-       let rn = List.nth naive i and rf = List.nth fast i in
-       if rf.Harness.outcome <> rn.Harness.outcome then
-         mismatches := (w.Registry.name, scheme) :: !mismatches)
-    cells;
+  let naive = pass Fastpath.Naive in
+  let fast = pass Fastpath.Fast in
+  let mismatches =
+    List.combine cells (List.combine naive fast)
+    |> List.filter (fun (_, ((rn : Harness.result), (rf : Harness.result))) ->
+        rf.Harness.outcome <> rn.Harness.outcome)
+    |> List.map fst
+  in
+  List.iter
+    (fun (c : Parallel_runner.cell) ->
+       Fmt.pr "MISMATCH: %s/%s: fast engine disagrees with naive@."
+         c.Parallel_runner.workload.Registry.name c.Parallel_runner.scheme)
+    mismatches;
+  if mismatches <> [] then begin
+    Fmt.epr "engines: %d of %d cells differ between the naive and fast engines@."
+      (List.length mismatches) (List.length cells);
+    exit 1
+  end;
   let fingerprint =
     List.fold_left
       (fun h (r : Harness.result) ->
@@ -1083,123 +933,8 @@ let agreement_sweep ~divisor =
            mix h m.Harness.violations)
       0x9e3779b9 naive
   in
-  (List.length cells, !mismatches, fingerprint)
-
-let throughput () =
-  header "Throughput: host wall-clock simulator speed (naive / fast)";
-  let rounds = if !smoke then 8 else 400 in
-  let reps = if !smoke then 1 else 9 in
-  let fast_rate, accesses, fast_dt, fast_snap =
-    best_of reps (fun () -> measure_engine ~kind:Fastpath.Fast ~rounds)
-  in
-  let naive_rate, _, naive_dt, naive_snap =
-    best_of reps (fun () -> measure_engine ~kind:Fastpath.Naive ~rounds)
-  in
-  (* The two engines must agree bit-for-bit on the kernel's simulated
-     stats before any speed claim is worth recording. *)
-  if fast_snap <> naive_snap then
-    failwith "throughput: fast engine disagrees with naive on kernel stats";
-  let speedup = fast_rate /. naive_rate in
-  let sim_maps = fast_rate /. 1e6 in
-  Fmt.pr "fast engine : %8.2f M sim-accesses/s (%d accesses in %.3fs)@."
-    sim_maps accesses fast_dt;
-  Fmt.pr "naive engine: %8.2f M sim-accesses/s (%.3fs)@." (naive_rate /. 1e6) naive_dt;
-  Fmt.pr "speedup     : fast %.2fx over naive@." speedup;
-  (* Engine agreement across the full harness sweep. *)
-  let sweep_cells, mismatches, fingerprint =
-    agreement_sweep ~divisor:(if !smoke then 32 else 8)
-  in
-  List.iter
-    (fun (w, s) -> Fmt.pr "MISMATCH: %s/%s: fast engine disagrees with naive@." w s)
-    mismatches;
-  if mismatches <> [] then failwith "throughput: engines disagree on harness sweep";
   Fmt.pr "engine agreement: %d cells bit-identical (fingerprint 0x%x)@."
-    sweep_cells fingerprint;
-  (* Domain-scaling of a small experiment grid (the Figure 7/11 shape). *)
-  let cells = scaling_cells ~divisor:(if !smoke then 32 else 4) in
-  let host_cores = Domain.recommended_domain_count () in
-  let max_jobs = min 4 (max 2 host_cores) in
-  let job_counts = List.filter (fun j -> j <= max_jobs) [ 1; 2; 4 ] in
-  let times = List.map (fun j -> (j, grid_time ~jobs:j cells)) job_counts in
-  List.iter
-    (fun (j, t) ->
-       Fmt.pr "grid (%d cells) with %d job(s): %.3fs@." (List.length cells) j t)
-    times;
-  let t1 = List.assoc 1 times in
-  (* Which job count actually won? Domain fan-out can only pay off when
-     the host actually has spare cores: on a single-core host the extra
-     domains just add spawn/join and GC-synchronization overhead, which
-     is expected — an informational note, not a warning. On a multi-core
-     host, parallel measuring slower than serial is a real regression
-     worth shouting about. *)
-  let jobs_effective =
-    List.fold_left (fun (bj, bt) (j, t) -> if t < bt then (j, t) else (bj, bt))
-      (1, t1) times
-    |> fst
-  in
-  let slower = List.filter (fun (j, t) -> j > 1 && t > t1) times in
-  if host_cores <= 1 then begin
-    if slower <> [] then
-      Fmt.pr "note: parallel measured slower than serial, as expected on a \
-              single-core host (%d core) — domain fan-out has nothing to run on@."
-        host_cores
-  end
-  else
-    List.iter
-      (fun (j, t) ->
-         Fmt.pr "warning: %d jobs measured SLOWER than serial (%.3fs vs %.3fs) on a \
-                 %d-core host — domain fan-out is not paying off@." j t t1 host_cores)
-      slower;
-  Fmt.pr "effective job count: %d@." jobs_effective;
-  let grid =
-    List.map
-      (fun (j, t) ->
-         Json.Obj
-           [ ("jobs", Json.Int j); ("seconds", Json.Float t);
-             ("speedup", Json.Float (t1 /. t)) ])
-      times
-  in
-  (* Schema v2: the deterministic score rides along so one file carries
-     both the host-speed and the host-noise-free views of this build. *)
-  let score_ms = Score.measure_all ~smoke:true in
-  let doc =
-    Json.Obj
-      [
-        ("bench", Json.Str "throughput");
-        ("version", Json.Int 3);
-        ("engine", Json.Str (Score.engine ()));
-        ("smoke", Json.Bool !smoke);
-        ("rounds", Json.Int rounds);
-        ("accesses", Json.Int accesses);
-        ("sim_maps", Json.Float sim_maps);
-        ("naive_maps", Json.Float (naive_rate /. 1e6));
-        ("speedup_vs_naive", Json.Float speedup);
-        ( "agreement",
-          Json.Obj
-            [
-              ("cells", Json.Int sweep_cells);
-              ("engines", Json.List [ Json.Str "naive"; Json.Str "fast" ]);
-              ("identical", Json.Bool true);
-              ("fingerprint", Json.Str (Printf.sprintf "0x%x" fingerprint));
-            ] );
-        ("score_total", Json.Int (Score.total score_ms));
-        ("grid_cells", Json.Int (List.length cells));
-        ("grid_scaling", Json.List grid);
-        ("host_cores", Json.Int host_cores);
-        ("jobs_effective", Json.Int jobs_effective);
-        ("parallel_slower_than_serial", Json.Bool (slower <> []));
-      ]
-  in
-  let s = Json.to_string doc in
-  (match Json.parse s with
-   | Ok _ -> ()
-   | Error e -> failwith ("throughput: emitted invalid JSON: " ^ e));
-  let out = Option.value !out_file ~default:"BENCH_PR7.json" in
-  Out_channel.with_open_bin out (fun oc ->
-      output_string oc s;
-      output_char oc '\n');
-  Fmt.pr "wrote %s@." out
-
+    (List.length cells) fingerprint
 (* ------------------------------------------------------------------ *)
 (* Score: deterministic perf gate (no wall clock anywhere)             *)
 (* ------------------------------------------------------------------ *)
@@ -1287,7 +1022,7 @@ let score () =
             !tolerance file;
           exit 1
         end));
-  let out = Option.value !out_file ~default:"BENCH_PR6.json" in
+  let out = !out_file in
   (* mktemp-style callers hand us a pre-created empty file: that is
      "no trend history yet", not a corrupt document. *)
   let prev =
@@ -1327,8 +1062,7 @@ let experiments =
     ("reproduce", reproduce);
     ("sweep-epc", sweep_epc);
     ("ablations", ablations);
-    ("bechamel", bechamel);
-    ("throughput", throughput);
+    ("engines", engines);
     ("score", score);
   ]
 
@@ -1350,7 +1084,7 @@ let () =
       smoke := true;
       parse acc rest
     | "--out" :: v :: rest ->
-      out_file := Some v;
+      out_file := v;
       parse acc rest
     | [ "--out" ] ->
       Fmt.epr "--out expects an argument@.";
@@ -1381,19 +1115,12 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
-  (* Host-speed measurements should not time the collector's default
-     256K-word minor heap: give the bench process a large minor heap
-     and a lazier major slice so GC pauses mostly land between timed
-     windows. Host-side only — simulated results are GC-independent,
-     and the setting applies to every engine equally. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22; space_overhead = 400 };
   let selected =
     match args with
     | [] ->
       (* everything except the deduplicated table3 alias *)
       [ "fig1"; "fig2"; "fig7"; "fig8"; "fig9"; "fig10"; "table4"; "fig11"; "fig12";
-        "fig13"; "fig13curves"; "fleetcap"; "case-security"; "sweep-epc"; "ablations";
-        "bechamel" ]
+        "fig13"; "fig13curves"; "fleetcap"; "case-security"; "sweep-epc"; "ablations" ]
     | l -> l
   in
   List.iter

@@ -286,87 +286,20 @@ let validate_bench_cmd =
     match Json.parse contents with
     | Error msg -> die "%s: invalid JSON: %s" file msg
     | Ok j ->
-      let num ?(where = j) k =
-        match Json.member k where with
-        | Some (Json.Int _ | Json.Float _) -> ()
-        | Some _ -> die "%s: key %S is not a number" file k
-        | None -> die "%s: missing key %S" file k
-      in
-      let str k =
-        match Json.member k j with
-        | Some (Json.Str _) -> ()
-        | Some _ -> die "%s: key %S is not a string" file k
-        | None -> die "%s: missing key %S" file k
-      in
-      (* The engine key names which memory engine produced the numbers;
-         only the two engines the simulator actually has are valid. *)
-      let engine () =
-        str "engine";
-        match Json.member "engine" j with
-        | Some (Json.Str ("naive" | "fast")) -> ()
-        | Some (Json.Str e) ->
-          die "%s: unknown engine %S (expected naive or fast)" file e
-        | _ -> assert false
-      in
-      (match Json.member "bench" j with
-       | Some (Json.Str "score") ->
-         (* `bench score' document: deterministic per-kernel scores + trend *)
-         engine ();
-         num "score_total";
-         (match Json.member "kernels" j with
-          | Some (Json.List (_ :: _ as ks)) ->
-            List.iter
-              (fun k ->
-                 match (Json.member "kernel" k, Json.member "score" k) with
-                 | Some (Json.Str _), Some (Json.Int _) -> ()
-                 | _ -> die "%s: malformed kernel entry" file)
-              ks
-          | _ -> die "%s: missing or empty \"kernels\" array" file);
-         (match Json.member "trend" j with
-          | Some (Json.List (_ :: _)) -> ()
-          | _ -> die "%s: missing or empty \"trend\" array" file);
-         Fmt.pr "%s: valid score document (engine, score_total, kernels, trend)@." file
-       | Some (Json.Str "throughput") | None ->
-         (* `bench throughput' document (v1 files have no "bench" key) *)
-         num "sim_maps";
-         num "speedup_vs_naive";
-         let version =
-           match Json.member "version" j with Some (Json.Int v) -> v | _ -> 1
-         in
-         if version >= 2 then begin
-           engine ();
-           num "score_total";
-           num "jobs_effective"
-         end;
-         (* v3 adds the host core count and the engine agreement proof *)
-         if version >= 3 then begin
-           num "host_cores";
-           (match Json.member "agreement" j with
-            | Some (Json.Obj _ as a) ->
-              (match Json.member "fingerprint" a with
-               | Some (Json.Str _) -> ()
-               | _ -> die "%s: \"agreement\" lacks a fingerprint string" file)
-            | Some _ -> die "%s: \"agreement\" is not an object" file
-            | None -> die "%s: missing key \"agreement\"" file)
-         end;
-         Fmt.pr "%s: valid throughput document (v%d%s)@." file version
-           (match version with
-            | v when v >= 3 -> ": engine, host_cores, agreement present"
-            | 2 -> ": engine, score_total, jobs_effective present"
-            | _ -> "")
-       | Some (Json.Str b) -> die "%s: unknown bench kind %S" file b
-       | Some _ -> die "%s: \"bench\" key is not a string" file)
+      (match Sb_service.Score.validate j with
+       | Ok () -> Fmt.pr "%s: valid score document (engine, score_total, kernels, trend)@." file
+       | Error msg -> die "%s: %s" file msg)
   in
   let file_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"BENCH_*.json file.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"BENCH.json file.")
   in
   Cmd.v
     (Cmd.info "validate-bench"
-       ~doc:"Validate a BENCH_*.json emitted by `bench/main.exe throughput' or `bench \
-             score': must parse as JSON and carry the keys of its schema (throughput: \
-             numeric sim_maps/speedup_vs_naive, plus engine/score_total/jobs_effective \
-             from v2; score: engine, score_total, per-kernel scores and a trend array). \
-             The data files under results/ are checked by `bench/main.exe reproduce'.")
+       ~doc:"Validate a score document emitted by `bench/main.exe score' (the committed \
+             one is BENCH.json): must parse as JSON and carry \"bench\": \"score\", an \
+             engine (naive or fast), a numeric score_total, per-kernel scores and a \
+             trend array. The data files under results/ are checked by \
+             `bench/main.exe reproduce'.")
     Term.(const run $ file_arg)
 
 let fuzz_cmd =
@@ -487,16 +420,14 @@ let analyze_cmd =
   let module Symex = Sb_analysis.Symex in
   let module Ia = Sb_service.Interface_audit in
   let run workload scheme threads n outside json selftest full symbolic corpus
-      matrix jobs optimize out sarif =
+      jobs optimize sarif =
     let module Opt = Sb_analysis.Optimizer in
     let module Sarif = Sb_analysis.Sarif in
-    let write_file file s =
-      Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s)
-    in
     let write_sarif results =
       match sarif with
       | Some file ->
-        write_file file (Sarif.to_string results);
+        Out_channel.with_open_bin file (fun oc ->
+            Out_channel.output_string oc (Sarif.to_string results));
         Fmt.pr "wrote %s (%d SARIF result(s))@." file (List.length results)
       | None -> ()
     in
@@ -536,11 +467,6 @@ let analyze_cmd =
             Some (Opt.plan_of_cell ~env ~threads ?n ~scheme:s w)
           | _ -> None
         in
-        (match out with
-         | Some file ->
-           write_file file (Opt.tsv_of_rows rows);
-           Fmt.pr "wrote %s (%d row(s))@." file (List.length rows)
-         | None -> ());
         (if json then
            let report = Opt.json_report rows in
            let doc =
@@ -579,49 +505,35 @@ let analyze_cmd =
         let ok = Symex.print_selftests sts in
         if not ok then exit 1
       end
-      else
-        match matrix with
-        | Some file ->
-          (* the committed Table-4-style matrix: always the full scheme
-             column set, independent of -s *)
-          let cells = Symex.corpus_sweep ~jobs () in
-          Out_channel.with_open_bin file (fun oc ->
-              Out_channel.output_string oc (Symex.matrix_tsv cells));
-          (match Symex.verify_matrix cells with
-           | [] -> Fmt.pr "wrote %s (%d cells, pins hold)@." file (List.length cells)
-           | problems ->
-             List.iter (fun p -> Fmt.epr "matrix pin violated: %s@." p) problems;
-             exit 1)
-        | None ->
-          if corpus then begin
-            (* the deliberately buggy corpus: must exit non-zero *)
-            let cells = Symex.corpus_sweep ~jobs ~schemes () in
-            if json then Fmt.pr "%s@." (Json.to_string (Symex.json_report cells))
-            else Symex.print_cells cells;
-            write_sarif
-              (List.concat_map
-                 (fun c ->
-                    List.map
-                      (Sarif.of_finding ~workload:c.Symex.cc_class
-                         ~scheme:c.Symex.cc_scheme)
-                      c.Symex.cc_findings)
-                 cells);
-            if List.exists (fun c -> c.Symex.cc_status <> "ok") cells then exit 1
-          end
-          else begin
-            (* the shipped service handlers: must be clean *)
-            let cells = Ia.sweep ~jobs ~schemes () in
-            if json then Fmt.pr "%s@." (Json.to_string (Ia.json_report cells))
-            else Ia.print_report cells;
-            write_sarif
-              (List.concat_map
-                 (fun c ->
-                    List.map
-                      (Sarif.of_finding ~workload:c.Ia.ic_app ~scheme:c.Ia.ic_scheme)
-                      c.Ia.ic_findings)
-                 cells);
-            if Ia.cells_bad cells <> [] then exit 1
-          end
+      else if corpus then begin
+        (* the deliberately buggy corpus: must exit non-zero *)
+        let cells = Symex.corpus_sweep ~jobs ~schemes () in
+        if json then Fmt.pr "%s@." (Json.to_string (Symex.json_report cells))
+        else Symex.print_cells cells;
+        write_sarif
+          (List.concat_map
+             (fun c ->
+                List.map
+                  (Sarif.of_finding ~workload:c.Symex.cc_class
+                     ~scheme:c.Symex.cc_scheme)
+                  c.Symex.cc_findings)
+             cells);
+        if List.exists (fun c -> c.Symex.cc_status <> "ok") cells then exit 1
+      end
+      else begin
+        (* the shipped service handlers: must be clean *)
+        let cells = Ia.sweep ~jobs ~schemes () in
+        if json then Fmt.pr "%s@." (Json.to_string (Ia.json_report cells))
+        else Ia.print_report cells;
+        write_sarif
+          (List.concat_map
+             (fun c ->
+                List.map
+                  (Sarif.of_finding ~workload:c.Ia.ic_app ~scheme:c.Ia.ic_scheme)
+                  c.Ia.ic_findings)
+             cells);
+        if Ia.cells_bad cells <> [] then exit 1
+      end
     end
     else if selftest then begin
       let sts = Analyze.selftests () in
@@ -708,13 +620,6 @@ let analyze_cmd =
                    corpus instead of the shipped handlers (exits non-zero by \
                    construction).")
   in
-  let matrix_arg =
-    Arg.(value & opt (some string) None
-         & info [ "matrix" ] ~docv:"FILE"
-             ~doc:"With --symbolic: run the buggy corpus under the full scheme \
-                   column set, verify the Table-4 pins and write the \
-                   interface-audit matrix TSV to FILE.")
-  in
   let optimize_arg =
     Arg.(value & flag
          & info [ "optimize" ]
@@ -727,12 +632,6 @@ let analyze_cmd =
                    invocation (-w and -s) also dumps the plan. With --selftest, \
                    runs the optimizer's own certificate/tamper/determinism \
                    selftests instead. Exits non-zero if any cell is unsound.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"With --optimize: also write the check-elision TSV \
-                   (results/check_elision.tsv schema) to FILE.")
   in
   let sarif_arg =
     Arg.(value & opt (some string) None
@@ -753,8 +652,7 @@ let analyze_cmd =
              or crash.")
     Term.(const run $ workload_opt_arg $ scheme_opt_arg $ threads_arg $ n_arg
           $ outside_arg $ json_arg $ selftest_arg $ full_arg $ symbolic_arg
-          $ corpus_arg $ matrix_arg $ jobs_arg $ optimize_arg $ out_arg
-          $ sarif_arg)
+          $ corpus_arg $ jobs_arg $ optimize_arg $ sarif_arg)
 
 let profile_cmd =
   let module Sexp = Sb_service.Experiment in

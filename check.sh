@@ -74,11 +74,10 @@ else
   grep -q '"traceEvents"' "$trace"
 fi
 
-echo "== bench smoke: throughput (fast vs naive engine)"
-bench_out=$(mktemp /tmp/sgxbounds-bench.XXXXXX.json)
-trap 'rm -f "$trace" "$bench_out"' EXIT
-_build/default/bench/main.exe --smoke --out "$bench_out" throughput >/dev/null
-"$CLI" validate-bench "$bench_out"
+echo "== bench engines: fast engine == naive engine over every workload x scheme (-j 2)"
+# Prints the cell count and the fingerprint of the agreed-on metrics;
+# exits 1 on any cell where the two engines differ.
+_build/default/bench/main.exe -j 2 engines
 
 echo "== bench reproduce: regenerate every file under results/ (-j 2), compare bytes"
 # The one writer of results/: regenerates every committed data file,
@@ -86,8 +85,9 @@ echo "== bench reproduce: regenerate every file under results/ (-j 2), compare b
 # pins, fleet shard counts), and exits 1 if any file differs (rewritten
 # in place, so the drift shows in git diff) or is produced by nothing.
 # The committed files were generated under -j 1, so this also pins
-# -j invariance; R randomises every Hashtbl, which must not show.
-OCAMLRUNPARAM=R _build/default/bench/main.exe -j 2 reproduce
+# -j invariance; R randomises every Hashtbl and s=4k,o=200 shrinks the
+# minor heap and makes the major GC eager: neither may show.
+OCAMLRUNPARAM='R,s=4k,o=200' _build/default/bench/main.exe -j 2 reproduce
 # MPX's extra cycles over SGXBounds must land on bounds-table sites
 if command -v jq >/dev/null 2>&1; then
   jq -e '[.sites[].by_bucket.bounds_table] | add > 0' results/profile_diff_memcached.json >/dev/null
@@ -117,7 +117,7 @@ else
 fi
 # Chrome-trace sink: slowest-request exemplar spans as trace events
 serve_trace=$(mktemp /tmp/sgxbounds-serve-trace.XXXXXX.json)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace"' EXIT
+trap 'rm -f "$trace" "$serve_trace"' EXIT
 "$CLI" serve --app memcached --scheme sgxbounds --rate 400000 --smoke \
   --trace "$serve_trace" >/dev/null
 if command -v jq >/dev/null 2>&1; then
@@ -187,7 +187,7 @@ fi
 "$CLI" profile -w kmeans -s mpx -n 512 --json | grep -q '"total_cycles"'
 # collapsed-stack flamegraph export: non-empty "site;...;site cycles" lines
 collapsed=$(mktemp /tmp/sgxbounds-collapsed.XXXXXX.txt)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed"' EXIT
+trap 'rm -f "$trace" "$serve_trace" "$collapsed"' EXIT
 "$CLI" profile -w kmeans -s sgxbounds -n 512 --out "$collapsed" >/dev/null
 test -s "$collapsed"
 grep -Eq '^[^ ]+ [0-9]+$' "$collapsed"
@@ -195,10 +195,10 @@ grep -Eq '^[^ ]+ [0-9]+$' "$collapsed"
 echo "== bench score: deterministic perf gate vs committed baseline"
 score_a=$(mktemp /tmp/sgxbounds-score-a.XXXXXX.json)
 score_b=$(mktemp /tmp/sgxbounds-score-b.XXXXXX.json)
-trap 'rm -f "$trace" "$bench_out" "$serve_trace" "$collapsed" "$score_a" "$score_b"' EXIT
-_build/default/bench/main.exe --smoke --baseline BENCH_PR6.json \
+trap 'rm -f "$trace" "$serve_trace" "$collapsed" "$score_a" "$score_b"' EXIT
+_build/default/bench/main.exe --smoke --baseline BENCH.json \
   --label ci --out "$score_a" score >/dev/null
-_build/default/bench/main.exe --smoke --baseline BENCH_PR6.json \
+_build/default/bench/main.exe --smoke --baseline BENCH.json \
   --label ci --out "$score_b" score >/dev/null
 # the score is simulated-work based: consecutive runs must be bit-identical
 cmp "$score_a" "$score_b"
@@ -207,38 +207,39 @@ cmp "$score_a" "$score_b"
 # allocation) and a deliberate too-good-to-be-true improvement (deflated
 # measurement = stale baseline) must both trip it
 if SGXBOUNDS_SCORE_PERTURB=100 _build/default/bench/main.exe --smoke \
-     --baseline BENCH_PR6.json --out "$score_a" score >/dev/null 2>&1; then
+     --baseline BENCH.json --out "$score_a" score >/dev/null 2>&1; then
   echo "score gate failed to catch a deliberate slowdown" >&2
   exit 1
 fi
 if SGXBOUNDS_SCORE_PERTURB=-50 _build/default/bench/main.exe --smoke \
-     --baseline BENCH_PR6.json --out "$score_a" score >/dev/null 2>&1; then
+     --baseline BENCH.json --out "$score_a" score >/dev/null 2>&1; then
   echo "score gate failed to catch a deliberate improvement" >&2
   exit 1
 fi
 # the allocation score only compares over identical simulated work: a
 # baseline whose kernel ran one more cycle must trip the gate too
 if command -v jq >/dev/null 2>&1; then
-  jq '.kernels[0].cycles += 1' BENCH_PR6.json >"$score_b"
+  jq '.kernels[0].cycles += 1' BENCH.json >"$score_b"
   if _build/default/bench/main.exe --smoke --baseline "$score_b" \
        --out "$score_a" score >/dev/null 2>&1; then
     echo "score gate failed to catch simulated-work drift" >&2
     exit 1
   fi
 fi
-# the baseline is read and checked before any kernel runs: a missing or
-# non-JSON baseline exits 1 without printing a kernel row
-echo 'not json' >"$score_b"
-for bad in "$score_b.missing" "$score_b"; do
+# the baseline is read and checked before any kernel runs: a missing,
+# non-JSON or wrong-shape baseline exits 1 without printing a kernel row
+for bad in '' 'not json' '{"engine":"fast","smoke":true}'; do
+  rm -f "$score_b"
+  [ -z "$bad" ] || echo "$bad" >"$score_b"
   rc=0
-  out=$(_build/default/bench/main.exe --smoke --baseline "$bad" \
+  out=$(_build/default/bench/main.exe --smoke --baseline "$score_b" \
           --out "$score_a" score 2>/dev/null) || rc=$?
   if [ "$rc" != 1 ]; then
-    echo "score with unusable baseline $bad exited $rc, expected 1" >&2
+    echo "score with unusable baseline '$bad' exited $rc, expected 1" >&2
     exit 1
   fi
   if echo "$out" | grep -Eq '^(access-mix|kmeans|mcf|memcached)/'; then
-    echo "score measured kernels before rejecting the baseline $bad" >&2
+    echo "score measured kernels before rejecting the baseline '$bad'" >&2
     exit 1
   fi
 done
@@ -255,10 +256,8 @@ awk '/^## PR [0-9]+ —/ {
      }
      END { exit bad }' CHANGES.md
 
-echo "== committed bench documents validate"
-"$CLI" validate-bench BENCH_PR2.json
-"$CLI" validate-bench BENCH_PR6.json
-"$CLI" validate-bench BENCH_PR7.json
+echo "== the committed bench document validates"
+"$CLI" validate-bench BENCH.json
 
 echo "== audit selftest: seeded race + annotation mutants"
 "$CLI" analyze --selftest >/dev/null

@@ -318,30 +318,70 @@ type verdict = {
           allocation score is only comparable over identical work. *)
 }
 
+(** Whether [j] has the shape of a score document: [bench] is
+    ["score"], [engine] names one of the two memory engines,
+    [score_total] is a number, [kernels] is a non-empty list of entries
+    each with a string [kernel] and an int [score], and [trend] is
+    non-empty. The one schema check, shared by [validate-bench] and
+    {!check_baseline}. *)
+let validate j =
+  let ( let* ) = Result.bind in
+  let* () =
+    match Json.member "bench" j with
+    | Some (Json.Str "score") -> Ok ()
+    | Some (Json.Str b) -> Error (Printf.sprintf "unknown bench kind %S (expected \"score\")" b)
+    | Some _ -> Error "\"bench\" key is not a string"
+    | None -> Error "missing key \"bench\""
+  in
+  let* () =
+    match Json.member "engine" j with
+    | Some (Json.Str e) when Option.is_some (Fastpath.kind_of_string e) -> Ok ()
+    | Some (Json.Str e) -> Error (Printf.sprintf "unknown engine %S (expected naive or fast)" e)
+    | Some _ -> Error "key \"engine\" is not a string"
+    | None -> Error "missing key \"engine\""
+  in
+  let* () =
+    match Json.member "score_total" j with
+    | Some (Json.Int _ | Json.Float _) -> Ok ()
+    | Some _ -> Error "key \"score_total\" is not a number"
+    | None -> Error "missing key \"score_total\""
+  in
+  let* () =
+    match Json.member "kernels" j with
+    | Some (Json.List (_ :: _ as ks)) ->
+      let well_formed k =
+        match (Json.member "kernel" k, Json.member "score" k) with
+        | Some (Json.Str _), Some (Json.Int _) -> true
+        | _ -> false
+      in
+      if List.for_all well_formed ks then Ok () else Error "malformed kernel entry"
+    | _ -> Error "missing or empty \"kernels\" array"
+  in
+  match Json.member "trend" j with
+  | Some (Json.List (_ :: _)) -> Ok ()
+  | _ -> Error "missing or empty \"trend\" array"
+
 (** Whether [baseline] can be compared against a run of this build at
-    all: it must be a score document from the same engine and input
-    scale (smoke vs full). Needs no measurement, so callers can reject
-    a wrong baseline before running any kernel. *)
+    all: it must be a valid score document ({!validate}) from the same
+    engine and input scale (smoke vs full). Needs no measurement, so
+    callers can reject a wrong baseline before running any kernel. *)
 let check_baseline ~smoke baseline =
   let this_engine = engine () in
-  match Json.member "engine" baseline with
-  | None -> Error "baseline has no \"engine\" key — not a `bench score' document"
-  | Some (Json.Str e) when e <> this_engine ->
+  match (validate baseline, Json.member "engine" baseline, Json.member "smoke" baseline) with
+  | Error e, _, _ -> Error ("baseline is not a `bench score' document: " ^ e)
+  | Ok (), Some (Json.Str e), _ when e <> this_engine ->
     Error
       (Printf.sprintf
          "engine mismatch: baseline measured on %S, this run on %S — regenerate \
           the baseline under the same engine" e this_engine)
-  | Some _ when
-      (match Json.member "smoke" baseline with
-       | Some (Json.Bool b) -> b <> smoke
-       | _ -> false) ->
+  | Ok (), _, Some (Json.Bool b) when b <> smoke ->
     Error
       (Printf.sprintf
          "input-scale mismatch: baseline is a %s run, this is a %s run — scores \
           only compare at equal scale"
          (if smoke then "full" else "smoke")
          (if smoke then "smoke" else "full"))
-  | Some _ -> Ok ()
+  | Ok (), _, _ -> Ok ()
 
 (** Compare a fresh run against a committed baseline document: per
     kernel, the score against the tolerance and the simulated-work

@@ -216,7 +216,13 @@ let score_baseline ?(engine = Score.engine ()) ?(smoke = false) kernels =
                   [ ("kernel", Json.Str name); ("accesses", Json.Int 1000); ("instrs", Json.Int 0);
                     ("cycles", Json.Int 0); ("score", Json.Int score) ])
              kernels) );
+      ("score_total", Json.Int (List.fold_left (fun a (_, s) -> a + s) 0 kernels));
+      ("trend", Json.List [ Json.Obj [ ("label", Json.Str "test") ] ]);
     ]
+
+(* the engine this run is not on: a real engine, so only the mismatch
+   can refuse it *)
+let other_engine () = if Score.engine () = "fast" then "naive" else "fast"
 
 let meas name score =
   {
@@ -259,13 +265,17 @@ let test_gate_mismatches () =
   Alcotest.(check bool) "engine mismatch refused" true
     (is_error
        (Score.gate ~smoke:false ~tolerance_pct:25
-          ~baseline:(score_baseline ~engine:"definitely-other" [ ("k", 1) ])
+          ~baseline:(score_baseline ~engine:(other_engine ()) [ ("k", 1) ])
           [ meas "k" 1 ]));
   Alcotest.(check bool) "scale (smoke) mismatch refused" true
     (is_error
        (Score.gate ~smoke:true ~tolerance_pct:25
           ~baseline:(score_baseline ~smoke:false [ ("k", 1) ])
           [ meas "k" 1 ]));
+  Alcotest.(check bool) "wrong-shape baseline refused" true
+    (is_error
+       (Score.check_baseline ~smoke:true
+          (Json.Obj [ ("engine", Json.Str (Score.engine ())); ("smoke", Json.Bool true) ])));
   Alcotest.(check bool) "disjoint kernel sets refused" true
     (is_error
        (Score.gate ~smoke:false ~tolerance_pct:25
@@ -302,6 +312,49 @@ let test_score_doc_trend () =
   match Json.parse (Json.to_string d3) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("doc does not re-parse: " ^ e)
+
+(* The committed baseline, copied next to the test tree by the
+   [deps] of test/dune. *)
+let committed_bench () =
+  match Json.parse (In_channel.with_open_bin "../BENCH.json" In_channel.input_all) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "BENCH.json does not parse: %s" e
+
+let test_validate_accepts_committed () =
+  match Score.validate (committed_bench ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "BENCH.json refused: %s" e
+
+let test_validate_refusals () =
+  let fields =
+    match committed_bench () with Json.Obj kvs -> kvs | _ -> Alcotest.fail "not an object"
+  in
+  let without k = List.remove_assoc k fields in
+  let with_ k v = Json.Obj ((k, v) :: without k) in
+  (* the retired throughput v3 document: engine, score_total and all *)
+  let throughput =
+    Json.Obj
+      [ ("bench", Json.Str "throughput"); ("version", Json.Int 3); ("engine", Json.Str "fast");
+        ("smoke", Json.Bool true); ("sim_maps", Json.Float 77.4);
+        ("speedup_vs_naive", Json.Float 4.3); ("score_total", Json.Int 9813);
+        ("host_cores", Json.Int 1); ("jobs_effective", Json.Int 1);
+        ("agreement", Json.Obj [ ("cells", Json.Int 261); ("fingerprint", Json.Str "0x1") ]) ]
+  in
+  List.iter
+    (fun (what, doc, reason) ->
+       match Score.validate doc with
+       | Ok () -> Alcotest.failf "accepted %s" what
+       | Error e -> Alcotest.(check string) what reason e)
+    [ ("a throughput v3 document", throughput,
+       "unknown bench kind \"throughput\" (expected \"score\")");
+      ("no bench key", Json.Obj (without "bench"), "missing key \"bench\"");
+      ("an unknown engine", with_ "engine" (Json.Str "trace"),
+       "unknown engine \"trace\" (expected naive or fast)");
+      ("empty kernels", with_ "kernels" (Json.List []), "missing or empty \"kernels\" array");
+      ("a malformed kernel entry",
+       with_ "kernels" (Json.List [ Json.Obj [ ("kernel", Json.Str "k"); ("score", Json.Float 1.) ] ]),
+       "malformed kernel entry");
+      ("an empty trend", with_ "trend" (Json.List []), "missing or empty \"trend\" array") ]
 
 let test_score_measure_deterministic () =
   (* A synthetic kernel allocates exactly the same words every call, so
@@ -357,6 +410,9 @@ let suite =
     Alcotest.test_case "gate fails on simulated-work drift" `Quick test_gate_drift;
     Alcotest.test_case "gate mismatch refusals" `Quick test_gate_mismatches;
     Alcotest.test_case "score doc trend semantics" `Quick test_score_doc_trend;
+    Alcotest.test_case "score validate accepts BENCH.json" `Quick
+      test_validate_accepts_committed;
+    Alcotest.test_case "score validate refuses wrong shapes" `Quick test_validate_refusals;
     Alcotest.test_case "score measurement deterministic" `Quick
       test_score_measure_deterministic;
   ]
