@@ -1206,10 +1206,62 @@ let serve_cmd =
           $ trace_out_arg $ json_arg $ fleet_arg $ policy_arg $ ycsb_arg $ dist_arg
           $ records_arg $ clients_arg $ affinity_arg $ kill_arg)
 
+(* Cmdliner accepts any unambiguous prefix of a long option, so `--out'
+   would silently mean `--outside' and `--thr' `--threads'. Every long
+   option must be spelled out in full: the names a subcommand accepts are
+   read from its own plain help, so the list cannot drift from the
+   definitions. *)
+let long_options cmd path =
+  let b = Buffer.create 4096 in
+  let help = Format.formatter_of_buffer b in
+  let argv = Array.of_list (("sgxbounds_cli" :: path) @ [ "--help=plain" ]) in
+  ignore (Cmd.eval_value ~help ~argv cmd);
+  Format.pp_print_flush help ();
+  (* "--scheme=VAL," -> "scheme" *)
+  let name w =
+    let stop = ref 2 in
+    while !stop < String.length w && not (String.contains "=[," w.[!stop]) do incr stop done;
+    String.sub w 2 (!stop - 2)
+  in
+  (* option lines sit at the first indent: "       -s VAL, --scheme=VAL" *)
+  String.split_on_char '\n' (Buffer.contents b)
+  |> List.filter (String.starts_with ~prefix:"       -")
+  |> List.concat_map (String.split_on_char ' ')
+  |> List.filter_map (fun w -> if String.starts_with ~prefix:"--" w then Some (name w) else None)
+
+let refuse_abbreviated_options cmd cmd_names =
+  let rec upto_dashdash = function [] | "--" :: _ -> [] | a :: rest -> a :: upto_dashdash rest in
+  let args = upto_dashdash (List.tl (Array.to_list Sys.argv)) in
+  let is_option a = String.length a > 0 && a.[0] = '-' in
+  (* the subcommand cmdliner will run: an exact name or a unique prefix *)
+  let path =
+    match List.find_opt (fun a -> not (is_option a)) args with
+    | None -> []
+    | Some a when List.mem a cmd_names -> [ a ]
+    | Some a -> (
+        match List.filter (String.starts_with ~prefix:a) cmd_names with [ c ] -> [ c ] | _ -> [])
+  in
+  let known = long_options cmd path in
+  List.iter
+    (fun a ->
+       if String.starts_with ~prefix:"--" a && String.length a > 2 then begin
+         let name = List.hd (String.split_on_char '=' (String.sub a 2 (String.length a - 2))) in
+         if not (List.mem name known) then begin
+           Fmt.epr "%s: unknown option '--%s' (long options must be spelled out in full: %s)@."
+             (String.concat " " ("sgxbounds_cli" :: path))
+             name
+             (String.concat ", " (List.map (fun n -> "--" ^ n) (List.sort_uniq compare known)));
+           exit Cmd.Exit.cli_error
+         end
+       end)
+    args
+
 let () =
   let info = Cmd.info "sgxbounds_cli" ~doc:"SGXBounds reproduction driver" in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ run_cmd; stats_cmd; compare_cmd; list_cmd; ripe_cmd; exploits_cmd;
-            validate_bench_cmd; fuzz_cmd; analyze_cmd; profile_cmd; serve_cmd ]))
+  let cmds =
+    [ run_cmd; stats_cmd; compare_cmd; list_cmd; ripe_cmd; exploits_cmd;
+      validate_bench_cmd; fuzz_cmd; analyze_cmd; profile_cmd; serve_cmd ]
+  in
+  let cmd = Cmd.group info cmds in
+  refuse_abbreviated_options cmd (List.map Cmd.name cmds);
+  exit (Cmd.eval cmd)

@@ -348,6 +348,13 @@ if "$CLI" analyze -s nosuchscheme >/dev/null 2>&1; then
   echo "expected failure for unknown analyze scheme" >&2
   exit 1
 fi
+# long options must be spelled out: cmdliner alone would read `--out' as
+# `--outside' and run the native machine without a word
+"$CLI" run -w kmeans -s sgxbounds -n 512 --out --json >/dev/null 2>&1 && rc=0 || rc=$?
+if [ "$rc" -ne 124 ]; then
+  echo "expected exit 124 for an abbreviated long option, got $rc" >&2
+  exit 1
+fi
 for bad in "run -w kmeans -n 0" "stats -w kmeans -n 0" "run -w kmeans -t 0"; do
   if "$CLI" $bad >/dev/null 2>&1; then
     echo "expected failure for non-positive size or thread count: $bad" >&2

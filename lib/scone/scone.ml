@@ -10,8 +10,12 @@ type shield = No_shield | Encrypted
 type channel = {
   id : int;
   shield : shield;
-  mutable rx : string;         (* bytes waiting to be read (plaintext) *)
-  mutable tx : Buffer.t;       (* bytes written by the app (plaintext view) *)
+  (* bytes waiting to be read (plaintext): [rx] from [rx_pos] on. A feed
+     onto a drained channel keeps the caller's string as is, and a read
+     only moves the cursor, so neither copies in the steady state. *)
+  mutable rx : string;
+  mutable rx_pos : int;
+  tx : Buffer.t;               (* bytes written by the app (plaintext view) *)
 }
 
 type fd = int
@@ -65,17 +69,21 @@ let scheme t = t.s
 let open_channel t ~shield =
   let id = t.next_fd in
   t.next_fd <- id + 1;
-  Hashtbl.replace t.channels id { id; shield; rx = ""; tx = Buffer.create 256 };
+  Hashtbl.replace t.channels id { id; shield; rx = ""; rx_pos = 0; tx = Buffer.create 256 };
   id
 
 let chan t fd =
-  match Hashtbl.find_opt t.channels fd with
-  | Some c -> c
-  | None -> raise (App_crash (Printf.sprintf "SCONE: bad file descriptor %d" fd))
+  match Hashtbl.find t.channels fd with
+  | c -> c
+  | exception Not_found -> raise (App_crash (Printf.sprintf "SCONE: bad file descriptor %d" fd))
+
+let pending c = String.length c.rx - c.rx_pos
 
 let feed t fd bytes =
   let c = chan t fd in
-  c.rx <- c.rx ^ bytes
+  if pending c = 0 then c.rx <- bytes
+  else c.rx <- String.sub c.rx c.rx_pos (pending c) ^ bytes;
+  c.rx_pos <- 0
 
 let sent t fd = Buffer.contents (chan t fd).tx
 let clear_sent t fd = Buffer.clear (chan t fd).tx
@@ -97,19 +105,16 @@ let charge_shield t c len =
     Memsys.charge_alu t.ms (shield_per_byte * len)
   end
 
-(* Copy [len] bytes between the app buffer and the syscall slot in
-   chunks: the SCONE argument copy. Only performed inside the enclave
-   (outside, the kernel reads user memory directly). *)
-let stage_copy t ~app_addr ~len ~to_slot =
+(* Copy [len] bytes from the app buffer to the syscall slot in chunks:
+   the SCONE argument copy. Only performed inside the enclave (outside,
+   the kernel reads user memory directly). *)
+let stage_copy t ~app_addr ~len =
   if t.inside && len > 0 then begin
     let i = ref 0 in
     let slot_addr = t.s.Scheme.addr_of t.syscall_slot in
     while !i < len do
       let chunk = min (len - !i) t.slot_bytes in
-      let src, dst =
-        if to_slot then (app_addr + !i, slot_addr) else (slot_addr, app_addr + !i)
-      in
-      Memsys.blit t.ms ~src ~dst ~len:chunk;
+      Memsys.blit t.ms ~src:(app_addr + !i) ~dst:slot_addr ~len:chunk;
       i := !i + chunk
     done
   end
@@ -119,7 +124,7 @@ let stage_copy t ~app_addr ~len ~to_slot =
    shield or copy cost is charged and the buffer is never checked. *)
 let read t fd ~buf ~len =
   let c = chan t fd in
-  let n = min len (String.length c.rx) in
+  let n = min len (pending c) in
   if n > 0 then begin
     (* the wrapper checks the destination before anything is written *)
     t.s.Scheme.libc_check buf n Write;
@@ -134,17 +139,17 @@ let read t fd ~buf ~len =
       let i = ref 0 in
       while !i < n do
         let chunk = min (n - !i) t.slot_bytes in
-        Vmem.write_string vm ~addr:slot (String.sub c.rx !i chunk);
+        Vmem.write_substring vm ~addr:slot c.rx ~off:(c.rx_pos + !i) ~len:chunk;
         Memsys.touch_range t.ms ~addr:slot ~len:chunk;
         Memsys.blit t.ms ~src:slot ~dst:(app + !i) ~len:chunk;
         i := !i + chunk
       done
     end
     else begin
-      Vmem.write_string vm ~addr:app (String.sub c.rx 0 n);
+      Vmem.write_substring vm ~addr:app c.rx ~off:c.rx_pos ~len:n;
       Memsys.touch_range t.ms ~addr:app ~len:n
     end;
-    c.rx <- String.sub c.rx n (String.length c.rx - n)
+    c.rx_pos <- c.rx_pos + n
   end;
   n
 
@@ -153,10 +158,10 @@ let write t fd ~buf ~len =
   if len > 0 then begin
     t.s.Scheme.libc_check buf len Read;
     charge_transition t;
-    stage_copy t ~app_addr:(t.s.Scheme.addr_of buf) ~len ~to_slot:true;
+    stage_copy t ~app_addr:(t.s.Scheme.addr_of buf) ~len;
     charge_shield t c len;
     let addr = t.s.Scheme.addr_of buf in
     Memsys.touch_range t.ms ~addr ~len;
-    Buffer.add_string c.tx (Vmem.read_string (Memsys.vmem t.ms) ~addr ~len)
+    Vmem.add_to_buffer (Memsys.vmem t.ms) c.tx ~addr ~len
   end;
   len

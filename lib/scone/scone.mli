@@ -44,7 +44,9 @@ val scheme : t -> Sb_protection.Scheme.t
 val open_channel : t -> shield:shield -> fd
 
 (** Push outside-world bytes into the endpoint's receive queue (what the
-    untrusted OS would deliver). *)
+    untrusted OS would deliver). The queue is a string and a read
+    cursor: feeding a drained endpoint keeps [bytes] itself (no copy),
+    and only a feed onto unread bytes joins the two. *)
 val feed : t -> fd -> string -> unit
 
 (** Bytes the application has sent on this endpoint, as seen by the
@@ -52,7 +54,8 @@ val feed : t -> fd -> string -> unit
     would read). *)
 val sent : t -> fd -> string
 
-(** Clear the sent-bytes log. *)
+(** Clear the sent-bytes log, keeping its capacity: a connection that
+    clears after every response stops allocating for its writes. *)
 val clear_sent : t -> fd -> unit
 
 (** {2 System calls}
@@ -63,10 +66,15 @@ val clear_sent : t -> fd -> unit
 
 (** [read t fd ~buf ~len] reads up to [len] bytes into the
     application buffer [buf] (bounds-checked through the scheme's libc
-    wrapper, like SCONE libc does before copying). Returns bytes read. *)
+    wrapper, like SCONE libc does before copying). Returns bytes read.
+    The bytes are copied from the receive queue into simulated memory
+    in place and consumed by advancing the read cursor; a short read
+    leaves the rest for the next one, and a read that raises consumes
+    nothing. *)
 val read : t -> fd -> buf:Sb_protection.Types.ptr -> len:int -> int
 
-(** [write t fd ~buf ~len] sends [len] bytes from [buf]. Returns [len].
+(** [write t fd ~buf ~len] sends [len] bytes from [buf], appending them
+    to the sent-bytes log straight from simulated memory. Returns [len].
     @raise Sb_protection.Types.Violation if the buffer is smaller than
     [len] under a checking scheme (the wrapper check). *)
 val write : t -> fd -> buf:Sb_protection.Types.ptr -> len:int -> int

@@ -111,17 +111,68 @@ module Ring = struct
   let owner t key = t.owners.(position t (key_hash key))
 
   (** First alive instance clockwise from the key's position — the
-      failover route while an owner is down. [None] if nothing is up. *)
-  let owner_alive t ~alive key =
+      failover route while an owner is down — or [-1] if nothing is up.
+      A loop over the points, so the walk itself allocates nothing. *)
+  let first_alive t ~alive key =
     let n = Array.length t.hashes in
-    let start = position t (key_hash key) in
-    let rec go i steps =
-      if steps >= n then None
-      else
-        let o = t.owners.(i) in
-        if alive o then Some o else go ((i + 1) mod n) (steps + 1)
-    in
-    go start 0
+    let i = ref (position t (key_hash key)) and steps = ref 0 in
+    while !steps < n && not (alive t.owners.(!i)) do
+      i := (!i + 1) mod n;
+      incr steps
+    done;
+    if !steps < n then t.owners.(!i) else -1
+end
+
+(* ---------- per-instance accept queue ---------- *)
+
+module Fifo = struct
+  (** A FIFO of (op id, enqueue time) pairs held in two int rings, doubled
+      when full: once the rings have grown to the deepest queue of the
+      run, queueing and dequeueing a request allocate nothing. *)
+
+  type t = {
+    mutable ids : int array;
+    mutable enqs : int array;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () = { ids = Array.make 16 0; enqs = Array.make 16 0; head = 0; len = 0 }
+  let length q = q.len
+
+  (* ring slot of the [i]-th queued request; capacities are powers of two *)
+  let slot q i = (q.head + i) land (Array.length q.ids - 1)
+
+  let push q ~id ~enq =
+    if q.len = Array.length q.ids then begin
+      let ids = Array.make (2 * q.len) 0 and enqs = Array.make (2 * q.len) 0 in
+      for i = 0 to q.len - 1 do
+        ids.(i) <- q.ids.(slot q i);
+        enqs.(i) <- q.enqs.(slot q i)
+      done;
+      q.ids <- ids;
+      q.enqs <- enqs;
+      q.head <- 0
+    end;
+    let j = slot q q.len in
+    q.ids.(j) <- id;
+    q.enqs.(j) <- enq;
+    q.len <- q.len + 1
+
+  (* the head's fields; the queue must not be empty *)
+  let head_id q = q.ids.(q.head)
+  let head_enq q = q.enqs.(q.head)
+
+  let pop q =
+    q.head <- slot q 1;
+    q.len <- q.len - 1
+
+  (** The queued op ids, head first, and the queue emptied. *)
+  let drain q =
+    let ids = Array.init q.len (fun i -> q.ids.(slot q i)) in
+    q.head <- 0;
+    q.len <- 0;
+    ids
 end
 
 (* ---------- configuration ---------- *)
@@ -231,7 +282,7 @@ type inst = {
   idx : int;
   mutable ms : Memsys.t;
   mutable serve : worker:int -> Ycsb.op -> unit;
-  queue : (int * int) Queue.t;  (* (op id, enqueue time) *)
+  queue : Fifo.t;               (* (op id, enqueue time) *)
   free_at : int array;          (* per worker: busy until this clock *)
   mutable down_until : int;
   mutable pending_kills : int list;  (* ascending times *)
@@ -252,8 +303,10 @@ let alive inst ~t = inst.down_until <= t
 
 let load inst ~t =
   let busy = ref 0 in
-  Array.iter (fun f -> if f > t then incr busy) inst.free_at;
-  Queue.length inst.queue + !busy
+  for w = 0 to Array.length inst.free_at - 1 do
+    if inst.free_at.(w) > t then incr busy
+  done;
+  Fifo.length inst.queue + !busy
 
 (* The worker that takes the queue head next: the earliest free one,
    lowest index on ties. *)
@@ -330,9 +383,9 @@ let advance_inst inst ops arrivals ~t =
   let horizon = min t (next_kill inst - 1) in
   let continue = ref true in
   while !continue do
-    match Queue.peek_opt inst.queue with
-    | None -> continue := false
-    | Some (id, enq) ->
+    if Fifo.length inst.queue = 0 then continue := false
+    else begin
+      let id = Fifo.head_id inst.queue and enq = Fifo.head_enq inst.queue in
       let w = next_worker inst in
       let start = max inst.free_at.(w) enq in
       if start > horizon then continue := false
@@ -343,7 +396,7 @@ let advance_inst inst ops arrivals ~t =
          | Some log -> Spans.begin_exec log ~worker:w
          | None -> ());
         inst.serve ~worker:w ops.(id);
-        ignore (Queue.pop inst.queue);
+        Fifo.pop inst.queue;
         let fin = Memsys.get_clock inst.ms w in
         inst.free_at.(w) <- fin;
         if fin <= next_kill inst then begin
@@ -364,6 +417,7 @@ let advance_inst inst ops arrivals ~t =
           | None -> ()
         end
       end
+    end
   done
 
 (** [run ?spans cfg] drives the whole schedule and returns the merged
@@ -417,7 +471,7 @@ let run ?spans (cfg : config) =
           idx;
           ms;
           serve;
-          queue = Queue.create ();
+          queue = Fifo.create ();
           free_at = Array.make cfg.workers 0;
           down_until = 0;
           pending_kills =
@@ -452,42 +506,52 @@ let run ?spans (cfg : config) =
     let dropped = ref 0 and failed_over = ref 0 in
     let rr = ref 0 in
     let sticky = Array.make cfg.clients (-1) in
-    let advance_all ~t = Array.iter (fun inst -> advance_inst inst ops arrivals ~t) insts in
+    let advance_all ~t =
+      for i = 0 to cfg.instances - 1 do
+        advance_inst insts.(i) ops arrivals ~t
+      done
+    in
+    (* Routing allocates nothing: every choice below is an instance
+       index, [-1] when nothing is up. *)
     let rr_next ~t =
       let n = cfg.instances in
-      let rec go tries =
-        if tries >= n then None
-        else begin
-          let i = !rr mod n in
-          incr rr;
-          if alive insts.(i) ~t then Some i else go (tries + 1)
-        end
-      in
-      go 0
+      let c = ref (-1) and tries = ref 0 in
+      while !c < 0 && !tries < n do
+        let i = !rr mod n in
+        incr rr;
+        incr tries;
+        if alive insts.(i) ~t then c := i
+      done;
+      !c
     in
     let ll_pick ~t =
-      let best = ref None in
-      Array.iter
-        (fun inst ->
-           if alive inst ~t then begin
-             let l = load inst ~t in
-             match !best with
-             | Some (_, bl) when bl <= l -> ()
-             | _ -> best := Some (inst.idx, l)
-           end)
-        insts;
-      Option.map fst !best
+      let best = ref (-1) and best_load = ref 0 in
+      for i = 0 to cfg.instances - 1 do
+        if alive insts.(i) ~t then begin
+          let l = load insts.(i) ~t in
+          if !best < 0 || l < !best_load then begin
+            best := i;
+            best_load := l
+          end
+        end
+      done;
+      !best
     in
+    (* [Ring.first_alive]'s predicate, built once per run: [pick] sets
+       [now] instead of allocating a closure over [t] per request *)
+    let now = ref 0 in
+    let alive_now i = alive insts.(i) ~t:!now in
     (* The instance a request at time [t] goes to: chosen by policy
-       among the alive ones, [None] if nothing is up. *)
+       among the alive ones, [-1] if nothing is up. *)
     let pick ~t ~id =
       match cfg.policy with
       | Hash ->
-        Ring.owner_alive ring ~alive:(fun i -> alive insts.(i) ~t) (Ycsb.op_key ops.(id))
+        now := t;
+        Ring.first_alive ring ~alive:alive_now (Ycsb.op_key ops.(id))
       | Round_robin | Least_loaded ->
         let client = id mod cfg.clients in
         if cfg.affinity && sticky.(client) >= 0 && alive insts.(sticky.(client)) ~t then
-          Some sticky.(client)
+          sticky.(client)
         else begin
           let c =
             match cfg.policy with
@@ -495,30 +559,28 @@ let run ?spans (cfg : config) =
             | Least_loaded -> ll_pick ~t
             | Hash -> assert false
           in
-          (match c with Some i when cfg.affinity -> sticky.(client) <- i | _ -> ());
+          if c >= 0 && cfg.affinity then sticky.(client) <- c;
           c
         end
     in
     (* Queue the request on [inst], or shed it if the queue is full.
        Touches nothing outside [inst] unless [requeue]. *)
     let admit inst ~t ~id ~requeue =
-      if Queue.length inst.queue >= cfg.queue_cap then inst.shed <- inst.shed + 1
+      if Fifo.length inst.queue >= cfg.queue_cap then inst.shed <- inst.shed + 1
       else begin
-        Queue.add (id, t) inst.queue;
-        if Queue.length inst.queue > inst.max_queue then
-          inst.max_queue <- Queue.length inst.queue;
+        Fifo.push inst.queue ~id ~enq:t;
+        if Fifo.length inst.queue > inst.max_queue then
+          inst.max_queue <- Fifo.length inst.queue;
         if requeue then incr failed_over
       end
     in
     let route ~t ~id ~requeue =
-      match pick ~t ~id with
-      | None -> incr dropped
-      | Some i -> admit insts.(i) ~t ~id ~requeue
+      let i = pick ~t ~id in
+      if i < 0 then incr dropped else admit insts.(i) ~t ~id ~requeue
     in
     let do_kill inst ~at =
       inst.pending_kills <- List.tl inst.pending_kills;
-      let queued = List.of_seq (Queue.to_seq inst.queue) in
-      Queue.clear inst.queue;
+      let queued = Fifo.drain inst.queue in
       inst.restarts <- inst.restarts + 1;
       (* relaunch: fresh enclave + shard re-preload, then the SCONE
          lifecycle bill — EPC teardown and the re-attestation round
@@ -534,7 +596,7 @@ let run ?spans (cfg : config) =
       Array.fill inst.free_at 0 cfg.workers ready;
       inst.down_until <- ready;
       (* the queued requests fail over through the balancer *)
-      List.iter (fun (id, _) -> route ~t:at ~id ~requeue:true) queued
+      Array.iter (fun id -> route ~t:at ~id ~requeue:true) queued
     in
     let pending = ref kills in
     let process_kills_until t =
@@ -565,9 +627,8 @@ let run ?spans (cfg : config) =
          let hi = ref lo in
          while !hi < cfg.requests && arrivals.(!hi) < until do
            let id = !hi in
-           (match pick ~t:arrivals.(id) ~id with
-            | Some i -> owner.(id) <- i
-            | None -> incr dropped);
+           let i = pick ~t:arrivals.(id) ~id in
+           if i < 0 then incr dropped else owner.(id) <- i;
            incr hi
          done;
          let hi = !hi in
@@ -578,13 +639,14 @@ let run ?spans (cfg : config) =
             horizon reaches its start. A requeued request (enqueued at
             a kill time, after its arrival) entered before [lo]. *)
          let failure_step inst =
-           match Queue.peek_opt inst.queue with
-           | None -> 2 * hi
-           | Some (id, enq) ->
+           if Fifo.length inst.queue = 0 then 2 * hi
+           else begin
+             let id = Fifo.head_id inst.queue and enq = Fifo.head_enq inst.queue in
              let start = max inst.free_at.(next_worker inst) enq in
              let j = ref (if enq = arrivals.(id) then max lo (id + 1) else lo) in
              while !j < hi && arrivals.(!j) < start do incr j done;
              if !j < hi then (2 * !j) + 1 else 2 * hi
+           end
          in
          let serve_share inst =
            match

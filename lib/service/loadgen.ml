@@ -48,15 +48,22 @@ let arrivals ~rng ~process ~rate_rps ~n =
   if rate_rps <= 0. then invalid_arg "Loadgen.arrivals: rate must be positive";
   if n < 0 then invalid_arg "Loadgen.arrivals: negative request count";
   let gap = cycles_per_sec /. rate_rps in
+  let a = Array.make n 0 in
+  (* a loop-local float, not a ref captured by a closure, so the clock
+     stays unboxed: one request costs its array slot and nothing else *)
   let t = ref 0. in
-  Array.init n (fun i ->
-      (match process with
-       | Fixed -> t := !t +. gap
-       | Poisson ->
-         (* inverse-CDF exponential; Rng.float is in [0,1) so the log
-            argument stays strictly positive *)
-         t := !t +. (-.log (1. -. Rng.float rng) *. gap)
-       | Burst k ->
-         let k = max 1 k in
-         if i mod k = 0 then t := !t +. (gap *. float_of_int k));
-      int_of_float !t)
+  for i = 0 to n - 1 do
+    (match process with
+     | Fixed -> t := !t +. gap
+     | Poisson ->
+       (* inverse-CDF exponential of [Rng.float]'s value, built here from
+          the bits so it is not boxed; it is in [0,1), so the log
+          argument stays strictly positive *)
+       let u = float_of_int (Rng.bits rng land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53) in
+       t := !t +. (-.log (1. -. u) *. gap)
+     | Burst k ->
+       let k = max 1 k in
+       if i mod k = 0 then t := !t +. (gap *. float_of_int k));
+    a.(i) <- int_of_float !t
+  done;
+  a

@@ -108,9 +108,14 @@ let zipf_make n =
       /. (1. -. (zeta2 /. zetan));
   }
 
+(* [Rng.float]'s value, built from the bits here: an inlined local float
+   stays unboxed, where one returned from [Rng] is a fresh box per draw. *)
+let[@inline] unit_float rng =
+  float_of_int (Rng.bits rng land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
+
 (** Draw from [0, z_n): rank 0 is the most popular key. *)
 let zipf_draw z rng =
-  let u = Rng.float rng in
+  let u = unit_float rng in
   let uz = u *. z.z_zetan in
   if uz < 1. then 0
   else if uz < 1. +. (0.5 ** zipf_theta) then 1
@@ -149,7 +154,7 @@ let generate ?dist ~seed ~workload ~records ~n () =
   in
   let ops =
     Array.init n (fun _ ->
-        let r = Rng.float rng in
+        let r = unit_float rng in
         let t1 = m.m_read in
         let t2 = t1 +. m.m_update in
         let t3 = t2 +. m.m_insert in

@@ -63,6 +63,9 @@ type t = {
   mutable wr_idx : int;
   mutable wr_page : page;
   fast : bool;
+  (* [blit]'s staging buffer, grown to the longest copy so far: a copy
+     allocates only when it is longer than every earlier one. *)
+  mutable stage : Bytes.t;
 }
 
 let create (cfg : Sb_machine.Config.t) =
@@ -77,6 +80,7 @@ let create (cfg : Sb_machine.Config.t) =
     wr_idx = -1;
     wr_page = sentinel;
     fast = Sb_machine.Fastpath.is_enabled ();
+    stage = Bytes.empty;
   }
 
 let reserved_bytes t = t.reserved
@@ -302,9 +306,12 @@ let store t ~addr ~width v =
 
 let blit t ~src ~dst ~len =
   if len > 0 then begin
-    (* Copy via a temporary buffer: simple and overlap-safe; [len] is
-       bounded by object sizes which are small in the scaled simulation. *)
-    let buf = Bytes.create len in
+    (* Read the whole source into the staging buffer, then write it out:
+       overlap-safe like memmove, and a fault on the source leaves the
+       destination untouched. *)
+    if Bytes.length t.stage < len then
+      t.stage <- Bytes.create (max len (2 * Bytes.length t.stage));
+    let buf = t.stage in
     let i = ref 0 in
     while !i < len do
       let a = src + !i in
@@ -323,24 +330,48 @@ let blit t ~src ~dst ~len =
     done
   end
 
-let write_string_slow t ~addr s =
-  String.iteri (fun i c -> store t ~addr:(addr + i) ~width:1 (Char.code c)) s
-
-let write_string t ~addr s =
+let write_substring t ~addr s ~off:pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Vmem.write_substring";
   if t.fast then begin
     (* Page-chunked: one translation + one blit per page instead of one
        per byte. *)
-    let len = String.length s in
     let i = ref 0 in
     while !i < len do
       let a = addr + !i in
       let p = get_page_wr t a in
       let chunk = min (len - !i) (page_size - off a) in
-      Bytes.blit_string s !i p.data (off a) chunk;
+      Bytes.blit_string s (pos + !i) p.data (off a) chunk;
       i := !i + chunk
     done
   end
-  else write_string_slow t ~addr s
+  else
+    for i = 0 to len - 1 do
+      store t ~addr:(addr + i) ~width:1 (Char.code (String.unsafe_get s (pos + i)))
+    done
+
+let write_string t ~addr s = write_substring t ~addr s ~off:0 ~len:(String.length s)
+
+let add_to_buffer t buf ~addr ~len =
+  let start = Buffer.length buf in
+  try
+    if t.fast then begin
+      let i = ref 0 in
+      while !i < len do
+        let a = addr + !i in
+        let p = get_page_rd t a in
+        let chunk = min (len - !i) (page_size - off a) in
+        Buffer.add_subbytes buf p.data (off a) chunk;
+        i := !i + chunk
+      done
+    end
+    else
+      for i = 0 to len - 1 do
+        Buffer.add_char buf (Char.unsafe_chr (load t ~addr:(addr + i) ~width:1))
+      done
+  with Fault _ as e ->
+    Buffer.truncate buf start;
+    raise e
 
 let read_string_slow t ~addr ~len =
   String.init len (fun i -> Char.chr (load t ~addr:(addr + i) ~width:1))

@@ -83,11 +83,31 @@ val load : t -> addr:int -> width:int -> int
 val store : t -> addr:int -> width:int -> int -> unit
 
 (** Bulk copy of [len] bytes inside the address space (handles overlap
-    like [memmove]). Faults like individual accesses would. *)
+    like [memmove]). The whole source is read before any destination
+    byte is written: a source fault leaves the destination untouched,
+    and a destination fault leaves the bytes below the faulting page
+    written. Faults carry the address of the first byte of the faulting
+    page (or [src]/[dst] when it is the first page). The copy stages
+    through a buffer the address space keeps and grows to its longest
+    copy, so it allocates only when it is longer than every earlier one. *)
 val blit : t -> src:int -> dst:int -> len:int -> unit
 
 (** Copy an OCaml string into simulated memory. *)
 val write_string : t -> addr:int -> string -> unit
+
+(** [write_substring t ~addr s ~off ~len] copies [s]'s bytes
+    [off, off + len) to [addr, addr + len), like [write_string] of
+    [String.sub s off len] without building the substring. Pages are
+    written in address order, so a fault leaves the bytes below the
+    faulting page written.
+    @raise Invalid_argument if [off, off + len) is not inside [s]. *)
+val write_substring : t -> addr:int -> string -> off:int -> len:int -> unit
+
+(** [add_to_buffer t buf ~addr ~len] appends [len] bytes of simulated
+    memory to [buf], like [Buffer.add_string buf (read_string t ~addr
+    ~len)] without the intermediate string. On a fault [buf] is left as
+    it was. *)
+val add_to_buffer : t -> Buffer.t -> addr:int -> len:int -> unit
 
 (** Read [len] bytes of simulated memory into an OCaml string. *)
 val read_string : t -> addr:int -> len:int -> string

@@ -47,3 +47,10 @@ let all_schemes =
   [ ("native", native); ("sgxbounds", sgxb); ("asan", asan); ("mpx", mpx); ("baggy", baggy) ]
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(** Minor-heap words allocated by [f ()]. Counts are exact and do not
+    depend on when collections fall, so hot paths can be pinned at 0. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0

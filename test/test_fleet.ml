@@ -246,15 +246,73 @@ let test_ring_remap_bounded () =
 let test_ring_alive_walk () =
   let r4 = Fleet.Ring.make 4 in
   (* with everyone alive, the walk is the owner *)
-  Alcotest.(check bool) "alive walk = owner" true
-    (Fleet.Ring.owner_alive r4 ~alive:(fun _ -> true) 42 = Some (Fleet.Ring.owner r4 42));
+  Alcotest.(check int) "alive walk = owner" (Fleet.Ring.owner r4 42)
+    (Fleet.Ring.first_alive r4 ~alive:(fun _ -> true) 42);
   (* with the owner dead, keys land on a different live instance *)
   let dead = Fleet.Ring.owner r4 42 in
-  (match Fleet.Ring.owner_alive r4 ~alive:(fun i -> i <> dead) 42 with
-   | Some o -> Alcotest.(check bool) "fails over to a live instance" true (o <> dead)
-   | None -> Alcotest.fail "no live instance found");
-  Alcotest.(check bool) "all dead gives None" true
-    (Fleet.Ring.owner_alive r4 ~alive:(fun _ -> false) 42 = None)
+  (match Fleet.Ring.first_alive r4 ~alive:(fun i -> i <> dead) 42 with
+   | -1 -> Alcotest.fail "no live instance found"
+   | o -> Alcotest.(check bool) "fails over to a live instance" true (o <> dead));
+  Alcotest.(check int) "all dead gives -1" (-1)
+    (Fleet.Ring.first_alive r4 ~alive:(fun _ -> false) 42)
+
+(* The accept queue against [Queue]: wrap-around and growth keep FIFO
+   order, and [drain] hands back the ids head first. *)
+let test_fifo_model () =
+  let q = Fleet.Fifo.create () and model = Queue.create () in
+  let rng = Rng.create 5 in
+  for step = 0 to 999 do
+    if Queue.length model > 0 && Rng.int rng 3 = 0 then begin
+      Alcotest.(check int) "head id" (fst (Queue.peek model)) (Fleet.Fifo.head_id q);
+      Alcotest.(check int) "head enqueue time" (snd (Queue.peek model)) (Fleet.Fifo.head_enq q);
+      ignore (Queue.pop model);
+      Fleet.Fifo.pop q
+    end
+    else begin
+      Queue.add (step, 10 * step) model;
+      Fleet.Fifo.push q ~id:step ~enq:(10 * step)
+    end;
+    Alcotest.(check int) "length" (Queue.length model) (Fleet.Fifo.length q)
+  done;
+  Alcotest.(check (array int)) "drain"
+    (Array.of_seq (Seq.map fst (Queue.to_seq model)))
+    (Fleet.Fifo.drain q);
+  Alcotest.(check int) "drained" 0 (Fleet.Fifo.length q)
+
+(* Host words a fleet run allocates per offered request, everything
+   included: machine set-up, the arrival, op and owner arrays, routing,
+   queueing and serving. Draws, the ring walk, the accept queue and the
+   SCONE request path allocate nothing, so what is left is the set-up,
+   the arrays and the boxed op of each request (about 9 words here). On
+   the fast engine: the naive one allocates per simulated access. *)
+let test_fleet_words_per_request () =
+  Fastpath.with_kind Fastpath.Fast @@ fun () ->
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  List.iter
+    (fun policy ->
+       let cfg =
+         {
+           Fleet.default with
+           Fleet.instances = 2;
+           workers = 4;
+           requests = 50_000;
+           rate_rps = 400_000.;
+           policy;
+           records = 1024;
+         }
+       in
+       let before = words () in
+       let st = run_ok cfg in
+       let per_request = (words () -. before) /. float_of_int cfg.Fleet.requests in
+       Alcotest.(check int) "all served" cfg.Fleet.requests st.Fleet.completed;
+       if per_request > 16. then
+         Alcotest.failf "%s: %.1f words per request (bound 16)" (Fleet.policy_name policy)
+           per_request)
+    [ Fleet.Hash; Fleet.Least_loaded ]
 
 (* ---------- Latency.merge vs the pooled exact reference ---------- *)
 
@@ -323,6 +381,8 @@ let suite =
     Alcotest.test_case "ring: golden key->shard assignments" `Quick test_ring_golden;
     Alcotest.test_case "ring: add-instance remap is bounded" `Quick test_ring_remap_bounded;
     Alcotest.test_case "ring: alive walk fails over" `Quick test_ring_alive_walk;
+    Alcotest.test_case "accept queue matches a FIFO model" `Quick test_fifo_model;
+    Alcotest.test_case "words per request stay bounded" `Quick test_fleet_words_per_request;
     Alcotest.test_case "merge matches pooled exact percentiles" `Quick
       test_merge_matches_pooled_exact;
     Alcotest.test_case "policy parsing roundtrips" `Quick test_policy_parsing;

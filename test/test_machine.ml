@@ -31,6 +31,44 @@ let test_rng_range () =
     Alcotest.(check bool) "in [5,9]" true (v >= 5 && v <= 9)
   done
 
+(* The splitmix64 stream is part of every pinned result: the first draws
+   of two seeds, as [bits] and as [float], are fixed here. *)
+let test_rng_golden () =
+  List.iter
+    (fun (seed, bits, floats) ->
+       let r = Rng.create seed in
+       Alcotest.(check (list int)) (Printf.sprintf "seed %d bits" seed) bits
+         (List.map (fun _ -> Rng.bits r) bits);
+       let r = Rng.create seed in
+       Alcotest.(check (list string)) (Printf.sprintf "seed %d floats" seed) floats
+         (List.map (fun _ -> Printf.sprintf "%h" (Rng.float r)) floats);
+       let r = Rng.create seed in
+       Alcotest.(check (list int)) (Printf.sprintf "seed %d int 1000" seed)
+         (List.map (fun b -> b mod 1000) bits)
+         (List.map (fun _ -> Rng.int r 1000) bits))
+    [
+      ( 1,
+        [ 1227844342346046657; 4533873174211652711; 4076781235000726878; 3585294735394392331 ],
+        [ "0x1.45bd91204b982p-2"; "0x1.71b42cb1dd8cep-2"; "0x1.3a2eefb32555ep-1" ] );
+      ( 42,
+        [ 4456085495900499605; 2949826092126892291; 527597730035375954; 1737512041830867860 ],
+        [ "0x1.732262feb6e95p-1"; "0x1.fc66764cde206p-2"; "0x1.26757130f9f52p-1" ] );
+    ]
+
+(* A draw that returns an int allocates nothing: the state is unboxed. *)
+let test_rng_draws_do_not_allocate () =
+  let r = Rng.create 3 in
+  let sink = ref 0 in
+  let draws name f =
+    f ();
+    let w = minor_words (fun () -> for _ = 1 to 100_000 do f () done) in
+    if w > 0. then Alcotest.failf "100000 %s draws allocated %.0f minor words" name w
+  in
+  draws "int" (fun () -> sink := !sink + Rng.int r 1000);
+  draws "bits" (fun () -> sink := !sink lxor Rng.bits r);
+  draws "bernoulli" (fun () -> if Rng.bernoulli r 0.3 then incr sink);
+  Alcotest.(check bool) "draws were used" true (!sink <> 0)
+
 let test_rng_skew () =
   let r = Rng.create 7 in
   let low = ref 0 in
@@ -101,6 +139,8 @@ let suite =
     Alcotest.test_case "rng int bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng range bounds" `Quick test_rng_range;
     Alcotest.test_case "rng skewed distribution" `Quick test_rng_skew;
+    Alcotest.test_case "rng golden first draws" `Quick test_rng_golden;
+    Alcotest.test_case "rng draws do not allocate" `Quick test_rng_draws_do_not_allocate;
     Alcotest.test_case "align up/down" `Quick test_align;
     Alcotest.test_case "power-of-two helpers" `Quick test_pow2;
     Alcotest.test_case "ceil_div and clamp" `Quick test_ceil_div_clamp;

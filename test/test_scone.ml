@@ -111,9 +111,59 @@ let test_bad_fd_crashes () =
   | _ -> Alcotest.fail "expected crash"
   | exception Sb_protection.Types.App_crash _ -> ()
 
+let read_back s buf n =
+  Sb_vmem.Vmem.read_string (Memsys.vmem s.Scheme.ms) ~addr:(s.Scheme.addr_of buf) ~len:n
+
+let both_envs f =
+  List.iter
+    (fun env -> f (Memsys.create (Config.default ~env ())))
+    Config.[ Inside_enclave; Outside_enclave ]
+
+(* The read cursor: a short read leaves the rest for the next one, and a
+   feed onto unread bytes queues behind them. *)
+let test_partial_reads_and_feeds () =
+  both_envs (fun m ->
+    let s = Sgxbounds.make m in
+    let w = Scone.create s in
+    let fd = Scone.open_channel w ~shield:Scone.No_shield in
+    let buf = s.Scheme.malloc 16 in
+    Scone.feed w fd "abc";
+    Scone.feed w fd "def";
+    Alcotest.(check int) "two feeds, one read" 6 (Scone.read w fd ~buf ~len:16);
+    Alcotest.(check string) "both feeds in order" "abcdef" (read_back s buf 6);
+    Scone.feed w fd "ghijkl";
+    Alcotest.(check int) "short read" 4 (Scone.read w fd ~buf ~len:4);
+    Alcotest.(check string) "head of the queue" "ghij" (read_back s buf 4);
+    Scone.feed w fd "mn";
+    Alcotest.(check int) "rest, then the new feed" 4 (Scone.read w fd ~buf ~len:16);
+    Alcotest.(check string) "cursor kept" "klmn" (read_back s buf 4);
+    Alcotest.(check int) "drained" 0 (Scone.read w fd ~buf ~len:16))
+
+(* A served request in the steady state -- feed, read, write, clear --
+   allocates nothing on the host, inside the enclave or outside. *)
+let test_request_does_not_allocate () =
+  Sb_machine.Fastpath.with_kind Sb_machine.Fastpath.Fast @@ fun () ->
+  both_envs (fun m ->
+    let s = Sgxbounds.make m in
+    let w = Scone.create s in
+    let fd = Scone.open_channel w ~shield:Scone.No_shield in
+    let buf = s.Scheme.malloc 1024 in
+    let request = String.make 32 'r' in
+    let serve () =
+      Scone.feed w fd request;
+      ignore (Scone.read w fd ~buf ~len:32);
+      ignore (Scone.write w fd ~buf ~len:96);
+      Scone.clear_sent w fd
+    in
+    serve ();
+    let words = minor_words (fun () -> for _ = 1 to 1000 do serve () done) in
+    if words > 0. then Alcotest.failf "1000 warm requests allocated %.0f minor words" words)
+
 let suite =
   [
     Alcotest.test_case "write reaches the wire" `Quick test_write_reaches_the_wire;
+    Alcotest.test_case "partial reads and queued feeds" `Quick test_partial_reads_and_feeds;
+    Alcotest.test_case "a warm request does not allocate" `Quick test_request_does_not_allocate;
     Alcotest.test_case "read delivers fed bytes" `Quick test_read_delivers_fed_bytes;
     Alcotest.test_case "reads consume the queue" `Quick test_read_consumes_queue;
     Alcotest.test_case "wrapper checks write length" `Quick test_wrapper_checks_write_length;

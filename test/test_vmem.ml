@@ -334,9 +334,83 @@ let test_demand_zero () =
   let a = Vmem.map vm ~len:page ~perm:Vmem.Read_only () in
   Alcotest.(check string) "fresh page" (zeros page) (Vmem.read_string vm ~addr:a ~len:page)
 
+(* [blit] against a byte-array model: forward and overlapping copies in
+   both directions, inside one page and across several. Once its staging
+   buffer has grown, a copy allocates nothing. *)
+let test_blit_model () =
+  on_engines (fun e ->
+    let vm = create () in
+    let len = 4 * page in
+    let a = Vmem.map vm ~len ~perm:Vmem.Read_write () in
+    let model = Bytes.init len (fun i -> Char.chr ((i * 7 + i / 251) land 0xff)) in
+    Vmem.write_string vm ~addr:a (Bytes.to_string model);
+    let copies =
+      [
+        ("forward", 100, 2000, 300);
+        ("overlap, dst above src", 50, 60, 200);
+        ("overlap, dst below src", 900, 880, 150);
+        ("page-crossing", page - 40, (2 * page) + 17, page + 500);
+        ("page-crossing overlap up", page - 3000, page - 1000, 5000);
+        ("page-crossing overlap down", (2 * page) + 10, page + 5, 6000);
+      ]
+    in
+    let run (name, src, dst, n) =
+      Bytes.blit model src model dst n;
+      let w = minor_words (fun () -> Vmem.blit vm ~src:(a + src) ~dst:(a + dst) ~len:n) in
+      Alcotest.(check string) (e ^ " " ^ name) (Bytes.to_string model)
+        (Vmem.read_string vm ~addr:a ~len);
+      w
+    in
+    List.iter (fun c -> ignore (run c)) copies;
+    List.iter
+      (fun ((name, _, _, _) as c) ->
+         let w = run c in
+         if w > 0. then Alcotest.failf "%s %s: a warm blit allocated %.0f minor words" e name w)
+      copies)
+
+(* The whole source is read before the destination is written: a source
+   running into an unmapped page faults there and leaves [dst] as it was. *)
+let test_blit_source_fault () =
+  on_engines (fun e ->
+    let vm = create () in
+    let a = Vmem.map vm ~len:(2 * page) ~perm:Vmem.Read_write () in
+    Vmem.unmap vm ~addr:(a + page) ~len:page;
+    let d = Vmem.map vm ~len:page ~perm:Vmem.Read_write () in
+    Vmem.fill vm ~addr:d ~len:page ~byte:0x5A;
+    (match Vmem.blit vm ~src:(a + page - 10) ~dst:d ~len:20 with
+     | () -> Alcotest.failf "%s: expected a fault" e
+     | exception Vmem.Fault { addr; kind } ->
+       Alcotest.(check int) (e ^ " fault address") (a + page) addr;
+       Alcotest.(check bool) (e ^ " unmapped") true (kind = Vmem.Unmapped));
+    Alcotest.(check string) (e ^ " destination untouched") (String.make page '\x5a')
+      (Vmem.read_string vm ~addr:d ~len:page))
+
+(* [write_substring] and [add_to_buffer], the in-place string paths. *)
+let test_substring_and_buffer () =
+  on_engines (fun e ->
+    let vm = create () in
+    let a = Vmem.map vm ~len:(2 * page) ~perm:Vmem.Read_write () in
+    let s = String.init 300 (fun i -> Char.chr (65 + (i mod 26))) in
+    Vmem.write_substring vm ~addr:(a + page - 100) s ~off:50 ~len:200;
+    Alcotest.(check string) (e ^ " write_substring") (String.sub s 50 200)
+      (Vmem.read_string vm ~addr:(a + page - 100) ~len:200);
+    Alcotest.(check bool) (e ^ " substring out of range") true
+      (raises (fun () -> Vmem.write_substring vm ~addr:a s ~off:250 ~len:51));
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf "<";
+    Vmem.add_to_buffer vm buf ~addr:(a + page - 100) ~len:200;
+    Alcotest.(check string) (e ^ " add_to_buffer") ("<" ^ String.sub s 50 200) (Buffer.contents buf);
+    expect_fault Vmem.Unmapped (fun () ->
+      Vmem.add_to_buffer vm buf ~addr:(a + (2 * page) - 10) ~len:20);
+    Alcotest.(check string) (e ^ " buffer kept on fault") ("<" ^ String.sub s 50 200)
+      (Buffer.contents buf))
+
 let suite =
   suite @ extra_suite @ pr2_suite
   @ [
     Alcotest.test_case "sparse table: faults and range bounds" `Quick test_sparse_faults;
     Alcotest.test_case "demand-zero: reads, read-only, remap" `Quick test_demand_zero;
+    Alcotest.test_case "blit matches a byte-array model" `Quick test_blit_model;
+    Alcotest.test_case "blit source fault leaves dst" `Quick test_blit_source_fault;
+    Alcotest.test_case "write_substring and add_to_buffer" `Quick test_substring_and_buffer;
   ]
