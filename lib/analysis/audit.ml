@@ -61,6 +61,8 @@ type meta_model = Sb_schemes.Scheme_info.meta = No_meta | Mpx_bt | Sgxbounds_foo
 
 let model_of_name = Sb_schemes.Scheme_info.meta_model_of
 
+let pending_cap = 16 (* a power of two: ring slots wrap with [land] *)
+
 type t = {
   inner : Scheme.t;
   tel : Telemetry.t;
@@ -73,7 +75,13 @@ type t = {
   vc : int array array;
   mutable region_n : int;          (* threads of the open region; 0 = sequential *)
   live : Live.t;                   (* live objects and their range checks *)
-  mutable pending : (int * int * access) list; (* libc checks awaiting their touch *)
+  (* libc checks awaiting their touch: a ring of the [pending_cap]
+     newest, entry k of [npending] (0 the oldest) at [pending_slot] *)
+  p_addr : int array;
+  p_len : int array;
+  p_dir : access array;
+  mutable pstart : int;
+  mutable npending : int;
   mutable findings_rev : Finding.t list;
   mutable n_stored : int;
   mutable total : int;             (* every occurrence, deduplicated or not *)
@@ -295,7 +303,7 @@ let audit_range t ~op ~addr ~width:len ~access =
       else Live.add_check o addr (addr + len) access
   end
 
-let pending_cap = 16
+let pending_slot t k = (t.pstart + k) land (pending_cap - 1)
 
 let audit_libc t ~op ~addr ~width:len ~access =
   if len > 0 then begin
@@ -313,36 +321,55 @@ let audit_libc t ~op ~addr ~width:len ~access =
                 "wrapper-checked extent [0x%x,0x%x) exceeds object [0x%x,0x%x)"
                 addr (addr + len) o.lo o.hi)
            ~dedup:(Printf.sprintf "lc:0x%x" o.lo));
-    let p = (addr, len, access) :: t.pending in
-    t.pending <- (if List.length p > pending_cap then List.filteri (fun i _ -> i < pending_cap) p else p)
+    (* a full ring drops its oldest entry *)
+    if t.npending = pending_cap then t.pstart <- pending_slot t 1
+    else t.npending <- t.npending + 1;
+    let slot = pending_slot t (t.npending - 1) in
+    t.p_addr.(slot) <- addr;
+    t.p_len.(slot) <- len;
+    t.p_dir.(slot) <- access
   end
+
+(* The newest pending check at [addr] in direction [access], as its
+   position k in the ring, or -1. *)
+let rec pending_match t (addr : int) (access : access) k =
+  if k < 0 then -1
+  else
+    let slot = pending_slot t k in
+    if t.p_addr.(slot) = addr && t.p_dir.(slot) = access then k
+    else pending_match t addr access (k - 1)
+
+(* Drop ring entry [k], keeping the others in order. *)
+let pending_remove t k =
+  for j = k to t.npending - 2 do
+    let dst = pending_slot t j and src = pending_slot t (j + 1) in
+    t.p_addr.(dst) <- t.p_addr.(src);
+    t.p_len.(dst) <- t.p_len.(src);
+    t.p_dir.(dst) <- t.p_dir.(src)
+  done;
+  t.npending <- t.npending - 1
 
 let audit_touch t ~op:fn ~addr ~width:len ~access =
   if len > 0 then begin
-    let rec take acc = function
-      | [] -> (None, List.rev acc)
-      | (a, l, ac) :: rest when a = addr && ac = access ->
-        (Some l, List.rev_append acc rest)
-      | e :: rest -> take (e :: acc) rest
-    in
-    let matched, rest = take [] t.pending in
-    t.pending <- rest;
-    (match matched with
-     | None ->
-       report t Finding.Libc_unchecked ~op:fn ~addr ~width:len
-         ~detail:
-           (Printf.sprintf "raw libc %s of %d byte(s) with no matching %s"
-              (match access with Read -> "read" | Write -> "write")
-              len (Scheme.op_name Scheme.Libc_check))
-         ~dedup:(Printf.sprintf "lu:%s:0x%x" fn (addr asr 12))
-     | Some clen when clen <> len ->
-       report t Finding.Libc_mismatch ~op:fn ~addr ~width:len
-         ~detail:
-           (Printf.sprintf
-              "%s declared %d byte(s) but the body touches %d"
-              (Scheme.op_name Scheme.Libc_check) clen len)
-         ~dedup:(Printf.sprintf "lm:%s" fn)
-     | Some _ -> ());
+    let k = pending_match t addr access (t.npending - 1) in
+    if k < 0 then
+      report t Finding.Libc_unchecked ~op:fn ~addr ~width:len
+        ~detail:
+          (Printf.sprintf "raw libc %s of %d byte(s) with no matching %s"
+             (match access with Read -> "read" | Write -> "write")
+             len (Scheme.op_name Scheme.Libc_check))
+        ~dedup:(Printf.sprintf "lu:%s:0x%x" fn (addr asr 12))
+    else begin
+      let clen = t.p_len.(pending_slot t k) in
+      pending_remove t k;
+      if clen <> len then
+        report t Finding.Libc_mismatch ~op:fn ~addr ~width:len
+          ~detail:
+            (Printf.sprintf
+               "%s declared %d byte(s) but the body touches %d"
+               (Scheme.op_name Scheme.Libc_check) clen len)
+          ~dedup:(Printf.sprintf "lm:%s" fn)
+    end;
     note_access t ~meta:false ~op:fn ~addr ~width:len ~access
   end
 
@@ -403,7 +430,11 @@ let create ?(track_races = true) ?(max_findings = 200) (inner : Scheme.t) : t =
       vc = Array.init nthreads (fun _ -> Array.make nthreads 0);
       region_n = 0;
       live = Live.create ~skip_empty:true ();
-      pending = [];
+      p_addr = Array.make pending_cap 0;
+      p_len = Array.make pending_cap 0;
+      p_dir = Array.make pending_cap Read;
+      pstart = 0;
+      npending = 0;
       findings_rev = [];
       n_stored = 0;
       total = 0;

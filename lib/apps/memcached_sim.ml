@@ -42,6 +42,7 @@ type t = {
   mutable lru_head : ptr;
   mutable lru_tail : ptr;
   mutable evictions : int;
+  mutable found : ptr;         (* the item [chain_find] last found *)
   (* the SCONE world: requests arrive and responses leave through the
      shielded syscall interface *)
   world : Sb_scone.Scone.t;
@@ -69,6 +70,7 @@ let create ?(nbuckets = 8192) ?(value_bytes = 96) ?(max_items = max_int) ctx =
     lru_head = null;
     lru_tail = null;
     evictions = 0;
+    found = null;
     world;
     conn = Sb_scone.Scone.open_channel world ~shield:Sb_scone.Scone.No_shield;
     conn_buf = ctx.s.Scheme.malloc 1024;
@@ -129,11 +131,16 @@ let lru_touch t it =
     lru_push_head t it
   end
 
+(* Walk a hash chain from [node] for [key]; on a hit the item is left
+   in [t.found], so a lookup allocates no option. *)
 let rec chain_find t node key =
-  if is_null t.ctx node then None
+  if is_null t.ctx node then false
   else begin
     work t.ctx 2;
-    if t.ctx.s.Scheme.safe_load (t.ctx.s.Scheme.offset node 24) 8 = key then Some node
+    if t.ctx.s.Scheme.safe_load (t.ctx.s.Scheme.offset node 24) 8 = key then begin
+      t.found <- node;
+      true
+    end
     else chain_find t (t.ctx.s.Scheme.load_ptr node) key
   end
 
@@ -183,22 +190,27 @@ let reclaim_expired t key it =
     value out (touching it the way the response path would). *)
 let get t key =
   let b = bucket t key in
-  match chain_find t (t.ctx.s.Scheme.load_ptr b) key with
-  | None -> false
-  | Some it when expired t it ->
-    reclaim_expired t key it;
-    false
-  | Some it ->
-    lru_touch t it;
-    let v = t.ctx.s.Scheme.offset it item_header in
-    t.ctx.s.Scheme.check_range v t.value_bytes Read;
-    let i = ref 0 in
-    while !i < t.value_bytes do
-      ignore (t.ctx.s.Scheme.load_unchecked (t.ctx.s.Scheme.offset v !i) 8);
-      i := !i + 8
-    done;
-    work t.ctx 20;
-    true
+  if not (chain_find t (t.ctx.s.Scheme.load_ptr b) key) then false
+  else
+    (* read [found] before the next simulated access: one may yield to
+       another thread's lookup *)
+    let it = t.found in
+    if expired t it then begin
+      reclaim_expired t key it;
+      false
+    end
+    else begin
+      lru_touch t it;
+      let v = t.ctx.s.Scheme.offset it item_header in
+      t.ctx.s.Scheme.check_range v t.value_bytes Read;
+      let i = ref 0 in
+      while !i < t.value_bytes do
+        ignore (t.ctx.s.Scheme.load_unchecked (t.ctx.s.Scheme.offset v !i) 8);
+        i := !i + 8
+      done;
+      work t.ctx 20;
+      true
+    end
 
 (** SET: insert or overwrite; fresh items also join the LRU list head
     (two more pointer stores, as in the real item_link). [ttl] is a
@@ -207,9 +219,8 @@ let get t key =
 let set_kv ?(ttl = 0) t key seed =
   let b = bucket t key in
   let it =
-    match chain_find t (t.ctx.s.Scheme.load_ptr b) key with
-    | Some it -> it
-    | None ->
+    if chain_find t (t.ctx.s.Scheme.load_ptr b) key then t.found
+    else begin
       if t.items >= t.max_items then evict_lru t;
       let it = alloc_item t in
       t.ctx.s.Scheme.store (t.ctx.s.Scheme.offset it 24) 8 key;
@@ -219,6 +230,7 @@ let set_kv ?(ttl = 0) t key seed =
       lru_push_head t it;
       t.items <- t.items + 1;
       it
+    end
   in
   t.ctx.s.Scheme.safe_store
     (t.ctx.s.Scheme.offset it expiry_off) 8

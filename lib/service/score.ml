@@ -209,6 +209,14 @@ let profiled_kernel ~wname ~scheme ~n () =
   let r, _prof = Harness.run_profiled ~scheme ~n (Registry.find wname) in
   sample_of_result r
 
+(** The meta-scheme path: a cell as [analyze] audits it, under the
+    symbolic auditor over the contract auditor ({!Sb_analysis.Symex.wrap}),
+    so every scheme op reaches the live-object table. *)
+let audited_kernel ~wname ~scheme ~n () =
+  let wrap s = fst (Sb_analysis.Symex.wrap ~track_races:false s) in
+  Fun.protect ~finally:Sb_analysis.Symex.unhook (fun () ->
+      sample_of_result (Harness.run_one ~wrap ~scheme ~n (Registry.find wname)))
+
 (** The service layer: open-loop memcached cell, spans traced — covers
     the scheduler, the request drivers and the span reservoir. *)
 let serve_kernel ~requests () =
@@ -242,6 +250,7 @@ let kernels ~smoke =
     ("memcached/serve", serve_kernel ~requests:(400 / d));
     ("kmeans/profiled", profiled_kernel ~wname:"kmeans" ~scheme:"sgxbounds" ~n:(2048 / d));
     ("epc-mt8/native", epc_threads ~accesses:(192_000 / d));
+    ("astar/audited", audited_kernel ~wname:"astar" ~scheme:"sgxbounds" ~n:(12288 / d));
   ]
 
 let measure_all ~smoke = List.map measure (kernels ~smoke)

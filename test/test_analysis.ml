@@ -281,6 +281,67 @@ let test_sweep_jobs_and_digests () =
          want (Some got))
     c1
 
+(* ---- libc checks awaiting their touch ---- *)
+
+(* The pending libc checks against the list they once were: the 16
+   newest, a touch matching the newest check at its address and in its
+   direction and removing it. Seeded runs over a few addresses of one
+   object must raise the same Libc_unchecked and Libc_mismatch counts. *)
+let test_libc_pending_model () =
+  for seed = 1 to 8 do
+    with_audited "native" (fun s a ->
+        let rng = Random.State.make [| seed |] in
+        let p = s.Scheme.malloc 256 in
+        let pending = ref [] and unchecked = ref 0 and mismatch = ref 0 in
+        for _ = 1 to 2000 do
+          let off = 8 * Random.State.int rng 24 in
+          let len = [| 4; 8; 16 |].(Random.State.int rng 3) in
+          let dir = if Random.State.bool rng then Read else Write in
+          let q = s.Scheme.offset p off and addr = Scheme.addr s p + off in
+          if Random.State.int rng 3 > 0 then begin
+            s.Scheme.libc_check q len dir;
+            pending := List.filteri (fun i _ -> i < 16) ((addr, len, dir) :: !pending)
+          end
+          else begin
+            s.Scheme.libc_touch "memcpy" q len dir;
+            let rec take acc = function
+              | [] -> incr unchecked; List.rev acc
+              | (a', l, d) :: rest when a' = addr && d = dir ->
+                if l <> len then incr mismatch;
+                List.rev_append acc rest
+              | e :: rest -> take (e :: acc) rest
+            in
+            pending := take [] !pending
+          end
+        done;
+        let ctx what = Printf.sprintf "seed %d: %s" seed what in
+        Alcotest.(check bool) (ctx "the run reaches both findings") true
+          (!unchecked > 0 && !mismatch > 0);
+        Alcotest.(check int) (ctx "Libc_unchecked") !unchecked
+          (Audit.count a Finding.Libc_unchecked);
+        Alcotest.(check int) (ctx "Libc_mismatch") !mismatch
+          (Audit.count a Finding.Libc_mismatch))
+  done
+
+(* A libc check and its touch go through the ring and the live table
+   without allocating (on the fast engine: the naive one allocates per
+   simulated access). *)
+let test_libc_pairs_do_not_allocate () =
+  Sb_machine.Fastpath.with_kind Sb_machine.Fastpath.Fast @@ fun () ->
+  with_audited "native" (fun s a ->
+      let p = s.Scheme.malloc 256 in
+      let pairs () =
+        for i = 0 to 999 do
+          let q = s.Scheme.offset p (8 * (i land 15)) in
+          s.Scheme.libc_check q 64 Read;
+          s.Scheme.libc_touch "memcpy" q 64 Read
+        done
+      in
+      pairs ();
+      let words = Helpers.minor_words pairs in
+      Alcotest.(check int) "no findings" 0 (Audit.total a);
+      Alcotest.(check (float 0.)) "minor words of 1000 check/touch pairs" 0. words)
+
 let suite =
   [
     Alcotest.test_case "selftests: seeded race and mutants" `Quick test_selftests;
@@ -293,6 +354,10 @@ let suite =
     Alcotest.test_case "write check licenses reads" `Quick
       test_write_check_licenses_reads;
     Alcotest.test_case "over-long check_range flagged" `Quick test_check_oob_flagged;
+    Alcotest.test_case "libc: pending checks match a list model" `Quick
+      test_libc_pending_model;
+    Alcotest.test_case "libc: check/touch pairs allocate nothing" `Quick
+      test_libc_pairs_do_not_allocate;
     Alcotest.test_case "stack frames bound object lifetime" `Quick
       test_stack_frame_lifetime;
     Alcotest.test_case "races: disjoint parallel writes clean" `Quick

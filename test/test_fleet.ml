@@ -281,10 +281,13 @@ let test_fifo_model () =
 
 (* Host words a fleet run allocates per offered request, everything
    included: machine set-up, the arrival, op and owner arrays, routing,
-   queueing and serving. Draws, the ring walk, the accept queue and the
-   SCONE request path allocate nothing, so what is left is the set-up,
-   the arrays and the boxed op of each request (about 9 words here). On
-   the fast engine: the naive one allocates per simulated access. *)
+   queueing and serving. Draws, the ring walk, the accept queue, the
+   SCONE request path and the hash-chain walk allocate nothing, so what
+   is left is the set-up, the arrays and the boxed op of each request:
+   6.6 and 6.1 words for two instances under the two policies, 6.0 for
+   one (8.6, 8.1 and 7.3 when a chain walk returned an option). The
+   bounds are about 1.5 times those. On the fast engine: the naive one
+   allocates per simulated access. *)
 let test_fleet_words_per_request () =
   Fastpath.with_kind Fastpath.Fast @@ fun () ->
   let words () =
@@ -293,11 +296,11 @@ let test_fleet_words_per_request () =
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
   List.iter
-    (fun policy ->
+    (fun (instances, policy, bound) ->
        let cfg =
          {
            Fleet.default with
-           Fleet.instances = 2;
+           Fleet.instances;
            workers = 4;
            requests = 50_000;
            rate_rps = 400_000.;
@@ -309,10 +312,10 @@ let test_fleet_words_per_request () =
        let st = run_ok cfg in
        let per_request = (words () -. before) /. float_of_int cfg.Fleet.requests in
        Alcotest.(check int) "all served" cfg.Fleet.requests st.Fleet.completed;
-       if per_request > 16. then
-         Alcotest.failf "%s: %.1f words per request (bound 16)" (Fleet.policy_name policy)
-           per_request)
-    [ Fleet.Hash; Fleet.Least_loaded ]
+       if per_request > bound then
+         Alcotest.failf "%d instance(s), %s: %.2f words per request (bound %.0f)" instances
+           (Fleet.policy_name policy) per_request bound)
+    [ (2, Fleet.Hash, 10.); (2, Fleet.Least_loaded, 10.); (1, Fleet.Hash, 9.) ]
 
 (* ---------- Latency.merge vs the pooled exact reference ---------- *)
 
