@@ -14,7 +14,7 @@ echo "== per-access modules compare inline (no polymorphic compare)"
 # must reference none: annotate the compared values' types instead.
 poly_bad=0
 for m in Live Scheme Audit Symex Sitestream Optimized Memsys Vmem Cache Hierarchy Epc \
-  Ptr Native Sgxbounds Tagged Asan Mpx Baggy; do
+  Ptr Native Sgxbounds Tagged Asan Mpx Baggy Freelist; do
   # a library's main module (Sgxbounds) has no "lib__" prefix
   lc=$(echo "$m" | tr 'A-Z' 'a-z')
   obj=$(find _build/default/lib -path '*/native/*' \( -name "*__$m.o" -o -name "$lc.o" \))

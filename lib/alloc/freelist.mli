@@ -10,7 +10,21 @@
       keeps a small footprint even under churn (the paper's swaptions),
       so AddressSanitizer's quarantine blow-up shows against it.
 
-    Payload addresses are 16-byte aligned. *)
+    Payload addresses are 16-byte aligned.
+
+    Host layout: every chunk ever carved is one int (payload, class,
+    live bit) in a table sorted by payload, cut into blocks of 256 ints.
+    Chunks are never destroyed, so the table never deletes: bump carving
+    appends while segments come in address order, and a segment mapped
+    below an earlier one inserts its chunks in the middle. [free],
+    [is_live] and [chunk_size] bisect the table behind a one-entry memo.
+    Each class keeps its free chunks' indices on an int stack, so reuse
+    is last freed, first reused (LIFO per class).
+
+    What allocates: carving a chunk costs one word of table (plus a
+    256-int block every 256 chunks); the first free of a class, and a
+    class stack deeper than ever before, grow that stack. Reusing a
+    chunk and freeing one into a stack with room allocate nothing. *)
 
 type t
 

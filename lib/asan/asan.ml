@@ -69,15 +69,19 @@ let shadow_load sh addr =
   ensure sh addr;
   Memsys.load ~cls:Memsys.Shadow sh.ms ~addr:(shadow_addr sh addr) ~width:1
 
+let shadow_cls = Some Memsys.Shadow
+
 (* Set the shadow of [len] app bytes to [byte]; costed as shadow-range
    traffic. [cls] lets the free path attribute its poisoning to the
-   quarantine instead. *)
-let poison_range ?(cls = Memsys.Shadow) sh addr len byte =
+   quarantine instead. The option is forwarded as it came (a constant
+   at every call site), so no [Some] is built per call. *)
+let poison_range ?cls sh addr len byte =
+  let cls = match cls with None -> shadow_cls | Some _ -> cls in
   if len > 0 then begin
     ensure sh addr;
     ensure sh (addr + len - 1);
     let s0 = shadow_addr sh addr and s1 = shadow_addr sh (addr + len - 1) in
-    Memsys.touch_range ~cls sh.ms ~addr:s0 ~len:(s1 - s0 + 1);
+    Memsys.touch_range ?cls sh.ms ~addr:s0 ~len:(s1 - s0 + 1);
     let vm = Memsys.vmem sh.ms in
     for a = s0 to s1 do
       Vmem.store vm ~addr:a ~width:1 byte
@@ -94,11 +98,41 @@ let unpoison_object sh addr size =
     Vmem.store (Memsys.vmem sh.ms) ~addr:(shadow_addr sh last) ~width:1 (size land 7)
   end
 
+(* Freed chunks in free order: a ring of (payload addr, chunk bytes)
+   pairs, entry [k] at [ring.(2k)] and [ring.(2k + 1)]. *)
 type quarantine = {
-  q : (int * int) Queue.t;   (* payload addr, chunk bytes *)
+  mutable ring : int array;
+  mutable head : int;
+  mutable count : int;
   mutable bytes : int;
   cap : int;
 }
+
+let quarantine_push q payload bytes =
+  let slots = Array.length q.ring / 2 in
+  if q.count = slots then begin
+    let ring = Array.make (2 * max 32 (2 * slots)) 0 in
+    for k = 0 to q.count - 1 do
+      let j = (q.head + k) mod slots in
+      ring.(2 * k) <- q.ring.(2 * j);
+      ring.((2 * k) + 1) <- q.ring.((2 * j) + 1)
+    done;
+    q.ring <- ring;
+    q.head <- 0
+  end;
+  let j = (q.head + q.count) mod (Array.length q.ring / 2) in
+  q.ring.(2 * j) <- payload;
+  q.ring.((2 * j) + 1) <- bytes;
+  q.count <- q.count + 1;
+  q.bytes <- q.bytes + bytes
+
+(* Remove the oldest entry and return its payload address. *)
+let quarantine_pop q =
+  let j = q.head in
+  q.head <- (j + 1) mod (Array.length q.ring / 2);
+  q.count <- q.count - 1;
+  q.bytes <- q.bytes - q.ring.((2 * j) + 1);
+  q.ring.(2 * j)
 
 let make ?(opts = default_opts) ms : Scheme.t =
   let cfg = Memsys.cfg ms in
@@ -113,7 +147,10 @@ let make ?(opts = default_opts) ms : Scheme.t =
   let arena = Sb_machine.Util.align_up arena Vmem.page_size in
   let sh_base = Vmem.map vm ~len:arena ~perm:Vmem.Read_write () in
   let sh = { ms; base = sh_base; covered = arena * 8; lazy_pages = 0 } in
-  let quar = { q = Queue.create (); bytes = 0; cap = (if opts.quarantine_cap = 0 then 0 else Sb_machine.Config.scaled cfg opts.quarantine_cap) } in
+  let quar =
+    { ring = [||]; head = 0; count = 0; bytes = 0;
+      cap = (if opts.quarantine_cap = 0 then 0 else Sb_machine.Config.scaled cfg opts.quarantine_cap) }
+  in
 
   let report addr access width reason =
     raise (Violation { scheme = "asan"; addr; access; width; lo = 0; hi = 0; reason })
@@ -142,8 +179,9 @@ let make ?(opts = default_opts) ms : Scheme.t =
     end
   in
 
-  let malloc size =
-    let a = Sb_alloc.Freelist.alloc heap (size + (2 * redzone)) in
+  (* Poison both redzones of the [size]-byte object in the chunk at [a]
+     and unpoison the object; returns the payload address. *)
+  let place a size =
     let payload = a + redzone in
     poison_range sh a redzone sh_rz;
     (* The right redzone's poison starts at the next granule boundary;
@@ -152,7 +190,10 @@ let make ?(opts = default_opts) ms : Scheme.t =
     poison_range sh rz_start (payload + size + redzone - rz_start) sh_rz;
     unpoison_object sh payload size;
     extras.redzone_bytes <- extras.redzone_bytes + (2 * redzone);
-    Ptr.of_word payload
+    payload
+  in
+  let malloc size =
+    Ptr.of_word (place (Sb_alloc.Freelist.alloc heap (size + (2 * redzone))) size)
   in
   let really_free payload =
     let chunk = payload - redzone in
@@ -170,13 +211,10 @@ let make ?(opts = default_opts) ms : Scheme.t =
         let size = Sb_alloc.Freelist.chunk_size heap chunk - (2 * redzone) in
         poison_range ~cls:Memsys.Quarantine sh payload size sh_freed;
         (* Quarantine: delay the real free; evict oldest beyond the cap. *)
-        Queue.push (payload, size + (2 * redzone)) quar.q;
-        quar.bytes <- quar.bytes + size + (2 * redzone);
+        quarantine_push quar payload (size + (2 * redzone));
         extras.quarantine_bytes <- quar.bytes;
-        while quar.bytes > quar.cap && not (Queue.is_empty quar.q) do
-          let old_payload, old_bytes = Queue.pop quar.q in
-          quar.bytes <- quar.bytes - old_bytes;
-          really_free old_payload
+        while quar.bytes > quar.cap && quar.count > 0 do
+          really_free (quarantine_pop quar)
         done
       end
     end
@@ -238,14 +276,7 @@ let make ?(opts = default_opts) ms : Scheme.t =
     free;
     global =
       (fun size ->
-         let a = Sb_alloc.Bump.alloc base.Base.globals (size + (2 * redzone)) in
-         let payload = a + redzone in
-         poison_range sh a redzone sh_rz;
-         let rz_start = Sb_machine.Util.align_up (payload + size) 8 in
-         poison_range sh rz_start (payload + size + redzone - rz_start) sh_rz;
-         unpoison_object sh payload size;
-         extras.redzone_bytes <- extras.redzone_bytes + (2 * redzone);
-         Ptr.of_word payload);
+         Ptr.of_word (place (Sb_alloc.Bump.alloc base.Base.globals (size + (2 * redzone))) size));
     stack_push =
       (fun () ->
          let tok = Sb_alloc.Stackmem.push_frame (Base.stack base) in
@@ -254,12 +285,7 @@ let make ?(opts = default_opts) ms : Scheme.t =
     stack_alloc =
       (fun size ->
          let a = Sb_alloc.Stackmem.alloc (Base.stack base) (size + (2 * redzone)) in
-         let payload = a + redzone in
-         poison_range sh a redzone sh_rz;
-         let rz_start = Sb_machine.Util.align_up (payload + size) 8 in
-         poison_range sh rz_start (payload + size + redzone - rz_start) sh_rz;
-         unpoison_object sh payload size;
-         extras.redzone_bytes <- extras.redzone_bytes + (2 * redzone);
+         let payload = place a size in
          (match !stack_frames with
           | (_, vars) :: _ -> vars := (a, size + (2 * redzone)) :: !vars
           | [] -> ());

@@ -69,18 +69,29 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
    | (_ : int) -> ()
    | exception Invalid_argument _ -> () (* another scheme instance mapped it *));
 
+  (* The plugin hooks, each given its slot after the LB footer. Defined
+     once here, so a malloc or free allocates no closure. *)
+  let rec create_hooks (ps : Meta.plugin list) addr size slot =
+    match ps with
+    | [] -> ()
+    | p :: rest ->
+      p.hooks.on_create ~ms ~objbase:addr ~objsize:size ~meta_addr:slot;
+      create_hooks rest addr size (slot + p.slot_bytes)
+  in
+  let rec delete_hooks (ps : Meta.plugin list) slot =
+    match ps with
+    | [] -> ()
+    | p :: rest ->
+      p.hooks.on_delete ~ms ~meta_addr:slot;
+      delete_hooks rest (slot + p.slot_bytes)
+  in
   (* specify_bounds of §3.2: write the LB footer, run plugin on_create
      hooks, and return the tagged word. *)
   let specify_bounds addr size =
     let ub = addr + size in
     Memsys.store ~cls:Memsys.Footer_meta ms ~addr:ub ~width:4 addr;
     Memsys.charge_alu ms 2;
-    let slot = ref (ub + lb_slot_bytes) in
-    List.iter
-      (fun (p : Meta.plugin) ->
-         p.hooks.on_create ~ms ~objbase:addr ~objsize:size ~meta_addr:!slot;
-         slot := !slot + p.slot_bytes)
-      plugins;
+    create_hooks plugins addr size (ub + lb_slot_bytes);
     Ptr.of_word (Tagged.make ~addr ~ub)
   in
   (* A narrowed pointer keeps its address in the pointer and its tag in
@@ -224,12 +235,7 @@ let make ?(opts = all_opts) ?(mode = Fail_stop) ?(plugins = []) ms : Scheme.t =
   let free p =
     let w = word p in
     let addr = Tagged.addr_of w and ub = Tagged.ub_of w in
-    let slot = ref (ub + lb_slot_bytes) in
-    List.iter
-      (fun (pl : Meta.plugin) ->
-         pl.hooks.on_delete ~ms ~meta_addr:!slot;
-         slot := !slot + pl.slot_bytes)
-      plugins;
+    delete_hooks plugins (ub + lb_slot_bytes);
     (* The 4-byte footer vanishes with the chunk itself: free needs no
        instrumentation beyond the plugin hooks (§3.2). *)
     if Sb_alloc.Freelist.is_live heap addr then Sb_alloc.Freelist.free heap addr

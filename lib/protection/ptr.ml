@@ -51,7 +51,11 @@ let rec probe t lo hi high i =
 
 let grow t =
   let cap = 2 * Array.length t.lo in
-  let extend a = Array.append a (Array.make (cap - Array.length a) 0) in
+  let extend a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
   t.lo <- extend t.lo;
   t.hi <- extend t.hi;
   t.high <- extend t.high;

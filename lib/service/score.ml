@@ -251,6 +251,8 @@ let kernels ~smoke =
     ("kmeans/profiled", profiled_kernel ~wname:"kmeans" ~scheme:"sgxbounds" ~n:(2048 / d));
     ("epc-mt8/native", epc_threads ~accesses:(192_000 / d));
     ("astar/audited", audited_kernel ~wname:"astar" ~scheme:"sgxbounds" ~n:(12288 / d));
+    (* swaptions frees every object it allocates: malloc/free churn *)
+    ("swaptions/sgxbounds", workload_kernel ~wname:"swaptions" ~scheme:"sgxbounds" ~n:(8192 / d));
   ]
 
 let measure_all ~smoke = List.map measure (kernels ~smoke)

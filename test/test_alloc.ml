@@ -249,6 +249,231 @@ let test_bump_walk () =
     ~extent:(fun _ -> 1) (* conservative: starts must at least be distinct *)
     ~align:(fun ~addr:_ ~size:_ -> ())
 
+(* --- Freelist against the Hashtbl heap it replaced --- *)
+
+(* The heap as it was before its chunk table became flat: a Hashtbl of
+   live chunks and one list per class. Kept as the reference for the
+   model check below. *)
+module Ref_freelist = struct
+  let header_size = 16
+  let min_segment = 64 * 1024
+
+  let class_size size =
+    if size <= 512 then Util.align_up (max size 16) 16
+    else if size <= 65536 then Util.align_up size 256
+    else Util.align_up size 4096
+
+  type t = {
+    ms : Memsys.t;
+    live : (int, int) Hashtbl.t;
+    freelists : (int, int list ref) Hashtbl.t;
+    mutable seg_cur : int;
+    mutable seg_end : int;
+    mutable live_bytes : int;
+    mutable total_allocated : int;
+  }
+
+  let create ms =
+    { ms; live = Hashtbl.create 4096; freelists = Hashtbl.create 64; seg_cur = 0; seg_end = 0;
+      live_bytes = 0; total_allocated = 0 }
+
+  let freelist t cls =
+    match Hashtbl.find t.freelists cls with
+    | l -> l
+    | exception Not_found ->
+      let l = ref [] in
+      Hashtbl.replace t.freelists cls l;
+      l
+
+  let grow t need =
+    let len = max min_segment (Util.align_up (need + header_size) Vmem.page_size) in
+    let addr = Vmem.map (Memsys.vmem t.ms) ~len ~perm:Vmem.Read_write () in
+    t.seg_cur <- addr;
+    t.seg_end <- addr + len
+
+  let alloc t size =
+    if size <= 0 then invalid_arg "Freelist.alloc: size <= 0";
+    let cls = class_size size in
+    Memsys.charge_alu t.ms 40;
+    let payload =
+      let fl = freelist t cls in
+      match !fl with
+      | addr :: rest ->
+        fl := rest;
+        addr
+      | [] ->
+        let need = header_size + cls in
+        if t.seg_cur + need > t.seg_end then grow t need;
+        let hdr = t.seg_cur in
+        t.seg_cur <- t.seg_cur + need;
+        hdr + header_size
+    in
+    Memsys.store t.ms ~addr:(payload - header_size) ~width:8 cls;
+    Hashtbl.replace t.live payload cls;
+    t.live_bytes <- t.live_bytes + cls;
+    t.total_allocated <- t.total_allocated + cls;
+    payload
+
+  let chunk_size t addr =
+    match Hashtbl.find t.live addr with
+    | size -> size
+    | exception Not_found -> invalid_arg "Freelist.chunk_size: not a live chunk"
+
+  let free t addr =
+    match Hashtbl.find t.live addr with
+    | exception Not_found -> invalid_arg "Freelist.free: not a live chunk"
+    | size ->
+      Memsys.charge_alu t.ms 25;
+      Memsys.touch t.ms ~addr:(addr - header_size) ~width:8;
+      Hashtbl.remove t.live addr;
+      t.live_bytes <- t.live_bytes - size;
+      let fl = freelist t size in
+      fl := addr :: !fl
+
+  let is_live t addr = Hashtbl.mem t.live addr
+  let live_bytes t = t.live_bytes
+  let live_chunks t = Hashtbl.length t.live
+  let total_allocated t = t.total_allocated
+end
+
+(* [Some v], or [None] when [f] raised [Invalid_argument]. *)
+let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None
+
+(* Move [vm]'s next-fit cursor to within a few pages of the top of the
+   address space, so that the next segment a heap maps wraps around to
+   the lowest free range. *)
+let push_cursor_to_top vm =
+  let top = 1 lsl Vmem.addr_bits in
+  let rec go () =
+    let a = Vmem.map vm ~len:Vmem.page_size ~perm:Vmem.Read_write () in
+    Vmem.unmap vm ~addr:a ~len:Vmem.page_size;
+    let room = top - a - Vmem.page_size - (8 * Vmem.page_size) in
+    if room > 0 then begin
+      let len = min room (32 * 1024 * 1024) in
+      let b = Vmem.map vm ~len ~perm:Vmem.Read_write () in
+      Vmem.unmap vm ~addr:b ~len;
+      go ()
+    end
+  in
+  go ()
+
+(* One seeded run: the flat heap and the reference, each on its own
+   machine, take the same random mallocs and frees (sizes from all three
+   class regimes) and the same bad frees. A 256 KiB hole is left below
+   the first segment and the map cursor is then moved past the top, so
+   later segments land below earlier ones. After every step the two must
+   agree on the payload, on [is_live]/[chunk_size] at every address seen
+   so far, and on the counters; at the end, on every simulated cycle. *)
+let test_freelist_model seed () =
+  let ma = ms () and mb = ms () in
+  let vma = Memsys.vmem ma and vmb = Memsys.vmem mb in
+  let holea = Vmem.map vma ~len:(256 * 1024) ~perm:Vmem.Read_write () in
+  let holeb = Vmem.map vmb ~len:(256 * 1024) ~perm:Vmem.Read_write () in
+  Alcotest.(check int) "same hole" holea holeb;
+  let h = Freelist.create ma and r = Ref_freelist.create mb in
+  let rng = Rng.create seed in
+  let seen = ref [] and live = ref [] and nlive = ref 0 in
+  let size () =
+    match Rng.int rng 10 with
+    | 0 -> 65537 + Rng.int rng (3 * 65536)
+    | 1 | 2 | 3 -> 513 + Rng.int rng 65024
+    | _ -> 1 + Rng.int rng 512
+  in
+  let check step =
+    let cmp name a b = if a <> b then Alcotest.failf "seed %d step %d: %s differs" seed step name in
+    cmp "live_bytes" (Freelist.live_bytes h) (Ref_freelist.live_bytes r);
+    cmp "live_chunks" (Freelist.live_chunks h) (Ref_freelist.live_chunks r);
+    cmp "total_allocated" (Freelist.total_allocated h) (Ref_freelist.total_allocated r);
+    List.iter
+      (fun a ->
+         List.iter
+           (fun q ->
+              if Freelist.is_live h q <> Ref_freelist.is_live r q then
+                Alcotest.failf "seed %d step %d: is_live %#x differs" seed step q;
+              if outcome (fun () -> Freelist.chunk_size h q)
+                 <> outcome (fun () -> Ref_freelist.chunk_size r q)
+              then Alcotest.failf "seed %d step %d: chunk_size %#x differs" seed step q)
+           [ a; a + 8; a - 16 ])
+      (* oldest first on odd steps: the first lookup then repeats the
+         last one of the step before, across whatever that step carved *)
+      (if step land 1 = 1 then List.rev !seen else !seen)
+  in
+  let bad_free step q =
+    match (outcome (fun () -> Freelist.free h q), outcome (fun () -> Ref_freelist.free r q)) with
+    | None, None -> ()
+    | _ -> Alcotest.failf "seed %d step %d: free %#x accepted" seed step q
+  in
+  let run ~from ~steps =
+    for step = from to from + steps - 1 do
+      (if !nlive = 0 || Rng.bernoulli rng 0.55 then begin
+         let sz = size () in
+         let a = Freelist.alloc h sz and b = Ref_freelist.alloc r sz in
+         if a <> b then Alcotest.failf "seed %d step %d: alloc %d gave %#x, reference %#x" seed step sz a b;
+         if not (List.mem a !seen) then seen := a :: !seen;
+         live := a :: !live;
+         incr nlive
+       end
+       else begin
+         let a = List.nth !live (Rng.int rng !nlive) in
+         Freelist.free h a;
+         Ref_freelist.free r a;
+         live := List.filter (fun x -> x <> a) !live;
+         decr nlive;
+         if Rng.bernoulli rng 0.2 then bad_free step a
+       end);
+      (match Rng.int rng 12 with
+       | 0 -> bad_free step (-16 - (16 * Rng.int rng 4))
+       | 1 -> (match !seen with a :: _ -> bad_free step (a + 1 + Rng.int rng 15) | [] -> ())
+       | 2 -> bad_free step (16 * (1 + Rng.int rng 1_000_000))
+       | _ -> ());
+      check step
+    done
+  in
+  run ~from:1 ~steps:400;
+  let lowest = List.fold_left min max_int !seen in
+  Vmem.unmap vma ~addr:holea ~len:(256 * 1024);
+  Vmem.unmap vmb ~addr:holeb ~len:(256 * 1024);
+  push_cursor_to_top vma;
+  push_cursor_to_top vmb;
+  run ~from:401 ~steps:400;
+  if List.for_all (fun a -> a >= lowest) !seen then
+    Alcotest.failf "seed %d: no segment landed below the first" seed;
+  Alcotest.(check int) "cycles" (Memsys.snapshot mb).Memsys.cycles (Memsys.snapshot ma).Memsys.cycles;
+  Alcotest.(check int) "accesses" (Memsys.snapshot mb).Memsys.mem_accesses
+    (Memsys.snapshot ma).Memsys.mem_accesses
+
+(* Words allocated by [f ()], minor and major: a heap's tables and the
+   simulated pages it touches. [Gc.minor_words] is exact; the minor
+   count in [Gc.counters] is not on every runtime, so only its major and
+   promoted counts are used (their difference is the words allocated
+   straight in the major heap). *)
+let heap_words f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* Words to create a heap and carve [n] 32-byte chunks, simulated pages
+   included, as the Hashtbl heap allocated them (measured with
+   [heap_words]). The flat table must not allocate more at any size. *)
+let hashtbl_heap_words = [ (100, 7_734); (1_000, 16_474); (10_000, 123_776); (100_000, 1_261_474) ]
+
+let test_freelist_words () =
+  (* the naive reference engine allocates per access by design *)
+  Sb_machine.Fastpath.with_kind Sb_machine.Fastpath.Fast @@ fun () ->
+  List.iter
+    (fun (n, parent) ->
+       let m = ms () in
+       let w =
+         heap_words (fun () ->
+             let h = Freelist.create m in
+             for _ = 1 to n do
+               ignore (Freelist.alloc h 32)
+             done)
+       in
+       if w > parent then Alcotest.failf "%d chunks: %d words, the Hashtbl heap took %d" n w parent)
+    hashtbl_heap_words
+
 let suite =
   [
     Alcotest.test_case "payloads 16-byte aligned" `Quick test_alloc_aligned;
@@ -270,6 +495,13 @@ let suite =
     Alcotest.test_case "stack overflow detected" `Quick test_stack_overflow;
     Alcotest.test_case "freelist random walk (seed 1)" `Quick (test_freelist_walk 1);
     Alcotest.test_case "freelist random walk (seed 2)" `Quick (test_freelist_walk 2);
+    Alcotest.test_case "freelist matches the Hashtbl heap (seed 1)" `Quick (test_freelist_model 1);
+    Alcotest.test_case "freelist matches the Hashtbl heap (seed 2)" `Quick (test_freelist_model 2);
+    Alcotest.test_case "freelist matches the Hashtbl heap (seed 3)" `Quick (test_freelist_model 3);
+    Alcotest.test_case "freelist matches the Hashtbl heap (seed 4)" `Quick (test_freelist_model 4);
+    Alcotest.test_case "freelist matches the Hashtbl heap (seed 5)" `Quick (test_freelist_model 5);
+    Alcotest.test_case "freelist matches the Hashtbl heap (seed 6)" `Quick (test_freelist_model 6);
+    Alcotest.test_case "freelist words at or below the Hashtbl heap's" `Quick test_freelist_words;
     Alcotest.test_case "buddy random walk (seed 1)" `Quick (test_buddy_walk 1);
     Alcotest.test_case "buddy random walk (seed 2)" `Quick (test_buddy_walk 2);
     Alcotest.test_case "bump random walk" `Quick test_bump_walk;

@@ -190,6 +190,33 @@ let test_mpx_ops_allocate_nothing () =
   let lo = Ptr.lo b p and hi = Ptr.hi b p in
   check_free "mpx bndmk of known bounds" (fun () -> ignore (Ptr.bounded b ~lo ~hi ~high:0 lo))
 
+(* A warm heap's malloc and free allocate nothing: the chunk table,
+   the free lists, SGXBounds' plugin walk, ASan's poisoning and its
+   quarantine ring, MPX's bndmk of known bounds. ASan runs with a
+   quarantine of a few chunks, so every free also evicts one. *)
+let test_malloc_free_allocate_nothing () =
+  Fastpath.with_kind Fastpath.Fast @@ fun () ->
+  let asan_evicting m =
+    Sb_asan.Asan.make ~opts:{ Sb_asan.Asan.default_opts with quarantine_cap = 64 * 1024 } m
+  in
+  List.iter
+    (fun (name, maker) ->
+       let _, s = fresh maker in
+       let pairs () =
+         for _ = 1 to 250 do
+           let a = s.Scheme.malloc 24 and b = s.Scheme.malloc 700 in
+           s.Scheme.free a;
+           let c = s.Scheme.malloc 64 and d = s.Scheme.malloc 5000 in
+           s.Scheme.free b;
+           s.Scheme.free d;
+           s.Scheme.free c
+         done
+       in
+       pairs ();
+       let w = minor_words pairs in
+       if w > 16. then Alcotest.failf "%s: %.0f minor words over 1000 malloc+free pairs" name w)
+    [ ("native", native); ("sgxbounds", sgxb); ("mpx", mpx); ("asan", asan_evicting) ]
+
 (* Words allocated per simulated memory access over a whole smoke cell,
    pinned at 1.5x what the cell measured when pointers became immediate
    (the whole run, setup included). Measured on the fast engine, which
@@ -231,5 +258,6 @@ let suite =
     Alcotest.test_case "mpx: wild offsets keep exact addresses" `Quick test_mpx_wild_offsets;
     Alcotest.test_case "pointer ops allocate nothing" `Quick test_ops_allocate_nothing;
     Alcotest.test_case "mpx: bounded ops allocate nothing" `Quick test_mpx_ops_allocate_nothing;
+    Alcotest.test_case "warm malloc and free allocate nothing" `Quick test_malloc_free_allocate_nothing;
     Alcotest.test_case "smoke astar and mcf: words per access pinned" `Quick test_cell_pins;
   ]
