@@ -1123,13 +1123,14 @@ let () =
         "fig13"; "fig13curves"; "fleetcap"; "case-security"; "sweep-epc"; "ablations" ]
     | l -> l
   in
-  List.iter
-    (fun name ->
-       match List.assoc_opt name experiments with
-       | Some f -> f ()
-       | None ->
-         Fmt.epr "unknown experiment %S; known: %a@." name
-           Fmt.(list ~sep:sp string)
-           (List.map fst experiments);
-         exit 1)
-    selected
+  (* every name is resolved before any experiment runs *)
+  let resolve name =
+    match List.assoc_opt name experiments with
+    | Some f -> f
+    | None ->
+      Fmt.epr "unknown experiment %S; known: %a@." name
+        Fmt.(list ~sep:sp string)
+        (List.map fst experiments);
+      exit 1
+  in
+  List.iter (fun f -> f ()) (List.map resolve selected)

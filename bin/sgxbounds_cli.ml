@@ -19,20 +19,74 @@ module Telemetry = Sb_telemetry.Telemetry
 module Sink = Sb_telemetry.Sink
 module Json = Sb_telemetry.Json
 module Profile = Sb_telemetry.Profile
+module Drivers = Sb_service.Drivers
+module Loadgen = Sb_service.Loadgen
+module Ycsb = Sb_service.Ycsb
+module Fleet = Sb_service.Fleet
+module Faulty = Sb_protection.Faulty
 
-(* Unknown workload/scheme names are user errors: report them cleanly on
-   stderr (with the valid spellings) instead of an exception trace. *)
+(* Runtime failures (an unwritable file, a crashed run): report them on
+   stderr instead of an exception trace. *)
 let die fmt = Fmt.kstr (fun msg -> Fmt.epr "sgxbounds_cli: %s@." msg; exit 2) fmt
 
-let find_workload name =
-  match Registry.find_opt name with
-  | Some w -> w
-  | None ->
-    die "unknown workload '%s'.@.Valid workloads: %s" name (String.concat ", " Registry.names)
+(* Every name and count is resolved while the command line is read, so a
+   malformed one is a usage error (exit 124) before anything runs, on
+   every path of every subcommand. Names match exactly: [Arg.enum] would
+   also accept any unambiguous prefix, so each converter is built from
+   its module's own [of_string] (which keeps its aliases). *)
+let name_conv ~what names of_string name =
+  let parse s =
+    match of_string s with
+    | Some v -> Ok v
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown %s '%s' (valid: %s)" what s (String.concat ", " names)))
+  in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (name v))
 
-let check_scheme name =
-  if Harness.maker_opt name = None then
-    die "unknown scheme '%s'.@.Valid schemes: %s" name (String.concat ", " Harness.scheme_names)
+let workload_conv =
+  name_conv ~what:"workload" Registry.names Registry.find_opt (fun w -> w.Registry.name)
+
+(* schemes stay strings: the harness and the analyses take names *)
+let scheme_conv =
+  name_conv ~what:"scheme" Harness.scheme_names
+    (fun s -> Option.map (fun _ -> s) (Harness.maker_opt s)) Fun.id
+
+let app_conv = name_conv ~what:"app" Drivers.app_names Drivers.of_string Drivers.name
+
+let process_conv =
+  name_conv ~what:"arrival process" Loadgen.process_names Loadgen.of_string Loadgen.to_string
+
+let ycsb_conv = name_conv ~what:"YCSB workload" Ycsb.workload_names Ycsb.of_string Ycsb.name
+
+let dist_conv =
+  name_conv ~what:"key distribution"
+    (List.map Ycsb.dist_name [ Ycsb.Uniform; Ycsb.Zipfian; Ycsb.Latest ])
+    Ycsb.dist_of_string Ycsb.dist_name
+
+let policy_conv =
+  name_conv ~what:"policy" Fleet.policy_names Fleet.policy_of_string Fleet.policy_name
+
+let fault_name f = List.find (fun n -> Faulty.fault_of_string n = Some f) Faulty.fault_names
+
+let fault_conv = name_conv ~what:"fault" Faulty.fault_names Faulty.fault_of_string fault_name
+
+let number ~expected of_string ok pp =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, pp)
+
+let pos_int = number ~expected:"a positive integer" int_of_string_opt (fun n -> n >= 1) Fmt.int
+
+let nonneg_int =
+  number ~expected:"a non-negative integer" int_of_string_opt (fun n -> n >= 0) Fmt.int
+
+let pos_float = number ~expected:"a positive number" float_of_string_opt (fun x -> x > 0.) Fmt.float
+
+let probability =
+  number ~expected:"a probability in [0, 1]" float_of_string_opt (fun p -> p >= 0. && p <= 1.) Fmt.float
 
 let pp_outcome w = function
   | Harness.Completed m ->
@@ -44,22 +98,12 @@ let pp_outcome w = function
 
 let workload_arg =
   let doc = "Workload name (see `list')." in
-  Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc)
+  Arg.(required & opt (some workload_conv) None & info [ "w"; "workload" ] ~doc)
 
 let scheme_arg =
   let doc = "Protection scheme: native, sgxbounds, sgxbounds-noopt, sgxbounds-safe, \
              sgxbounds-hoist, sgxbounds-boundless, asan, mpx, baggy." in
-  Arg.(value & opt string "sgxbounds" & info [ "s"; "scheme" ] ~doc)
-
-(* Sizes, thread and job counts: cmdliner rejects 0 and negatives before
-   any simulation runs. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  Arg.(value & opt scheme_conv "sgxbounds" & info [ "s"; "scheme" ] ~doc)
 
 let threads_arg =
   Arg.(value & opt pos_int 1 & info [ "t"; "threads" ] ~doc:"Simulated threads.")
@@ -98,9 +142,8 @@ let env_of outside = if outside then Config.Outside_enclave else Config.Inside_e
 let trace_capacity = 65536
 
 let run_cmd =
-  let run workload scheme threads n outside stats trace json =
-    let w = find_workload workload in
-    check_scheme scheme;
+  let run (w : Registry.spec) scheme threads n outside stats trace json =
+    let workload = w.Registry.name in
     let observing = stats || trace <> None || json in
     let tel =
       if observing then Telemetry.create ~capacity:trace_capacity ()
@@ -142,8 +185,7 @@ let run_cmd =
           $ stats_arg $ trace_arg $ json_arg)
 
 let stats_cmd =
-  let run workload threads n outside json jobs =
-    let w = find_workload workload in
+  let run w threads n outside json jobs =
     let env = env_of outside in
     (* Each ablation variant is an independent cell with its own Memsys;
        fan them across domains when --jobs asks for it. *)
@@ -185,8 +227,7 @@ let stats_cmd =
     Term.(const run $ workload_arg $ threads_arg $ n_arg $ outside_arg $ json_arg $ jobs_arg)
 
 let compare_cmd =
-  let run workload threads n outside jobs =
-    let w = find_workload workload in
+  let run w threads n outside jobs =
     let schemes = [ "native"; "sgxbounds"; "asan"; "mpx" ] in
     let results =
       Parallel_runner.run_cells ~jobs
@@ -223,7 +264,6 @@ let list_cmd =
 
 let ripe_cmd =
   let run scheme =
-    check_scheme scheme;
     let ms = Sb_sgx.Memsys.create (Config.default ()) in
     let s = Harness.maker scheme ms in
     let results = Sb_ripe.Ripe.run_all s in
@@ -244,7 +284,6 @@ let ripe_cmd =
 
 let exploits_cmd =
   let run scheme =
-    check_scheme scheme;
     let mk () =
       let ms = Sb_sgx.Memsys.create (Config.default ()) in
       Sb_workloads.Wctx.make (Harness.maker scheme ms)
@@ -329,31 +368,20 @@ let fuzz_cmd =
             engines: all invariants held@."
       total (List.length seeds)
   in
-  let run seed iters shrink bad inject quiet symseeds =
-    if symseeds < 0 then die "--symbolic-seeds must be >= 0";
-    if symseeds > 0 then run_symbolic_seeds symseeds quiet
-    else begin
-    if iters < 1 then die "--iters must be >= 1";
-    if bad < 0.0 || bad > 1.0 then die "--bad must be in [0, 1]";
+  let run_random_traces ~seed ~iters ~shrink ~bad ~inject ~quiet =
     let specs =
       match inject with
       | None -> Fuzz.default_specs ()
-      | Some name -> (
-          match Sb_protection.Faulty.fault_of_string name with
-          | None ->
-            die "unknown fault '%s'.@.Valid faults: %s" name
-              (String.concat ", " Sb_protection.Faulty.fault_names)
-          | Some fault ->
-            (* Graft the fault onto sgxbounds; its contract still holds
-               it to the unbroken scheme's standard, so the campaign
-               must fail — the harness's own sanity check. *)
-            List.map
-              (fun (sp : Fuzz.spec) ->
-                 if sp.Fuzz.sp_name = "sgxbounds" then
-                   { sp with
-                     Fuzz.sp_maker = (fun m -> Sb_protection.Faulty.inject fault (sp.Fuzz.sp_maker m)) }
-                 else sp)
-              (Fuzz.default_specs ()))
+      | Some fault ->
+        (* Graft the fault onto sgxbounds; its contract still holds it to
+           the unbroken scheme's standard, so the campaign must fail —
+           the harness's own sanity check. *)
+        List.map
+          (fun (sp : Fuzz.spec) ->
+             if sp.Fuzz.sp_name = "sgxbounds" then
+               { sp with Fuzz.sp_maker = (fun m -> Faulty.inject fault (sp.Fuzz.sp_maker m)) }
+             else sp)
+          (Fuzz.default_specs ())
     in
     let params = { Trace.default_params with Trace.p_bad = bad } in
     let progress i =
@@ -372,26 +400,30 @@ let fuzz_cmd =
         (Array.length cx.Fuzz.cx_trace) (Array.length cx.Fuzz.cx_shrunk);
       Fmt.pr "%s" (Trace.to_string cx.Fuzz.cx_shrunk);
       Fmt.pr "  replay with: %s%s@." (Fuzz.replay_command ~seed cx)
-        (match inject with Some f -> " --inject " ^ f | None -> "");
+        (match inject with Some f -> " --inject " ^ fault_name f | None -> "");
       exit 1
-    end
+  in
+  let run seed iters shrink bad inject quiet symseeds =
+    match symseeds with
+    | Some total -> run_symbolic_seeds total quiet
+    | None -> run_random_traces ~seed ~iters ~shrink ~bad ~inject ~quiet
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed (deterministic).")
   in
   let iters_arg =
-    Arg.(value & opt int 500 & info [ "iters" ] ~docv:"N" ~doc:"Number of traces to generate.")
+    Arg.(value & opt pos_int 500 & info [ "iters" ] ~docv:"N" ~doc:"Number of traces to generate.")
   in
   let shrink_arg =
     Arg.(value & opt bool true & info [ "shrink" ] ~docv:"BOOL"
            ~doc:"Shrink a failing trace to a minimal counterexample.")
   in
   let bad_arg =
-    Arg.(value & opt float 0.5 & info [ "bad" ] ~docv:"P"
+    Arg.(value & opt probability 0.5 & info [ "bad" ] ~docv:"P"
            ~doc:"Fraction of traces seeded with deliberate violations.")
   in
   let inject_arg =
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"FAULT"
+    Arg.(value & opt (some fault_conv) None & info [ "inject" ] ~docv:"FAULT"
            ~doc:"Break sgxbounds on purpose (elide-checks, deaf-libc); the campaign must \
                  then fail — a self-test of the fuzzer.")
   in
@@ -399,7 +431,7 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress output on stderr.")
   in
   let symseeds_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (some pos_int) None
          & info [ "symbolic-seeds" ] ~docv:"N"
              ~doc:"Instead of random traces, replay N traces deterministically \
                    expanded from the symbolic interface auditor's corpus \
@@ -419,172 +451,133 @@ let analyze_cmd =
   let module Analyze = Sb_analysis.Analyze in
   let module Symex = Sb_analysis.Symex in
   let module Ia = Sb_service.Interface_audit in
-  let run workload scheme threads n outside json selftest full symbolic corpus
-      jobs optimize sarif =
-    let module Opt = Sb_analysis.Optimizer in
-    let module Sarif = Sb_analysis.Sarif in
-    let write_sarif results =
-      match sarif with
-      | Some file ->
-        Out_channel.with_open_bin file (fun oc ->
-            Out_channel.output_string oc (Sarif.to_string results));
-        Fmt.pr "wrote %s (%d SARIF result(s))@." file (List.length results)
-      | None -> ()
+  let module Opt = Sb_analysis.Optimizer in
+  let module Sarif = Sb_analysis.Sarif in
+  let module Finding = Sb_analysis.Finding in
+  let run workload scheme threads n outside json selftest full symbolic corpus jobs optimize
+      sarif =
+    (* every path ends here: the document or the table, the SARIF file,
+       and exit 1 when the sweep found something *)
+    let report ~doc ~print ~sarif_results ~bad =
+      if json then Fmt.pr "%s@." (Json.to_string (doc ())) else print ();
+      (match sarif with
+       | Some file ->
+         Out_channel.with_open_bin file (fun oc ->
+             Out_channel.output_string oc (Sarif.to_string sarif_results));
+         Fmt.pr "wrote %s (%d SARIF result(s))@." file (List.length sarif_results)
+       | None -> ());
+      if bad then exit 1
     in
-    if optimize then begin
+    let schemes default = match scheme with None -> default | Some s -> [ s ] in
+    let env = env_of outside in
+    (* the concrete sweeps (audit and optimizer): -w, --full and -n *)
+    let sweep f =
+      let workloads = match workload with None -> Registry.all | Some w -> [ w ] in
+      if full then
+        List.concat_map (fun (w : Registry.spec) -> f (Some w.Registry.default_n) [ w ]) workloads
+      else f n workloads
+    in
+    let analyze () =
       if selftest then begin
-        let sts = Opt.selftests () in
-        let ok = Analyze.print_selftests sts in
-        if not ok then exit 1
+        let sts =
+          if optimize then Opt.selftests ()
+          else if symbolic then Symex.selftests ()
+          else Analyze.selftests ()
+        in
+        if not (Finding.print_selftests sts) then exit 1
       end
-      else begin
-        let workloads =
-          match workload with
-          | None -> Registry.all
-          | Some name -> [ find_workload name ]
-        in
-        let schemes =
-          match scheme with
-          | None -> Opt.default_sweep_schemes
-          | Some s ->
-            check_scheme s;
-            [ s ]
-        in
-        let env = env_of outside in
-        let rows =
-          if full then
-            List.concat_map
-              (fun (w : Registry.spec) ->
-                 Opt.sweep ~env ~threads ~n:w.Registry.default_n ~jobs ~schemes [ w ])
-              workloads
-          else Opt.sweep ~env ~threads ?n ~jobs ~schemes workloads
-        in
+      else if optimize then begin
+        let schemes = schemes Opt.default_sweep_schemes in
+        let rows = sweep (fun n ws -> Opt.sweep ~env ~threads ?n ~jobs ~schemes ws) in
         (* a single-cell invocation also dumps the certified plan *)
         let plan =
-          match (workloads, schemes) with
-          | [ w ], [ s ] ->
+          match (workload, scheme) with
+          | Some w, Some s ->
             let n = if full then Some w.Registry.default_n else n in
             Some (Opt.plan_of_cell ~env ~threads ?n ~scheme:s w)
           | _ -> None
         in
-        (if json then
-           let report = Opt.json_report rows in
-           let doc =
-             match (plan, report) with
-             | Some p, Json.Obj fields ->
-               Json.Obj (("plan", Opt.json_of_plan p) :: fields)
-             | _ -> report
-           in
-           Fmt.pr "%s@." (Json.to_string doc)
-         else begin
-           (match plan with Some p -> Opt.print_plan p | None -> ());
-           Opt.print_rows rows
-         end);
-        write_sarif
-          (List.filter_map
-             (fun r ->
-                if r.Opt.r_sound then None
-                else
-                  Some
-                    (Sarif.of_cert_failure ~workload:r.Opt.r_workload
-                       ~scheme:r.Opt.r_scheme r.Opt.r_detail))
-             rows);
-        if List.exists (fun r -> not r.Opt.r_sound) rows then exit 1
+        report
+          ~doc:(fun () ->
+              match (plan, Opt.json_report rows) with
+              | Some p, Json.Obj fields -> Json.Obj (("plan", Opt.json_of_plan p) :: fields)
+              | _, doc -> doc)
+          ~print:(fun () ->
+              Option.iter Opt.print_plan plan;
+              Opt.print_rows rows)
+          ~sarif_results:
+            (List.filter_map
+               (fun r ->
+                  if r.Opt.r_sound then None
+                  else
+                    Some
+                      (Sarif.of_cert_failure ~workload:r.Opt.r_workload ~scheme:r.Opt.r_scheme
+                         r.Opt.r_detail))
+               rows)
+          ~bad:(List.exists (fun r -> not r.Opt.r_sound) rows)
       end
-    end
-    else if symbolic then begin
-      let schemes =
-        match scheme with
-        | None -> Symex.matrix_schemes
-        | Some s ->
-          check_scheme s;
-          [ s ]
-      in
-      if selftest then begin
-        let sts = Symex.selftests () in
-        let ok = Symex.print_selftests sts in
-        if not ok then exit 1
-      end
-      else if corpus then begin
+      else if symbolic && corpus then begin
         (* the deliberately buggy corpus: must exit non-zero *)
-        let cells = Symex.corpus_sweep ~jobs ~schemes () in
-        if json then Fmt.pr "%s@." (Json.to_string (Symex.json_report cells))
-        else Symex.print_cells cells;
-        write_sarif
-          (List.concat_map
-             (fun c ->
-                List.map
-                  (Sarif.of_finding ~workload:c.Symex.cc_class
-                     ~scheme:c.Symex.cc_scheme)
-                  c.Symex.cc_findings)
-             cells);
-        if List.exists (fun c -> c.Symex.cc_status <> "ok") cells then exit 1
+        let cells = Symex.corpus_sweep ~jobs ~schemes:(schemes Symex.matrix_schemes) () in
+        report
+          ~doc:(fun () -> Symex.json_report cells)
+          ~print:(fun () -> Symex.print_cells cells)
+          ~sarif_results:
+            (List.concat_map
+               (fun c ->
+                  List.map
+                    (Sarif.of_finding ~workload:c.Symex.cc_class ~scheme:c.Symex.cc_scheme)
+                    c.Symex.cc_findings)
+               cells)
+          ~bad:(List.exists (fun c -> c.Symex.cc_status <> "ok") cells)
+      end
+      else if symbolic then begin
+        (* the shipped service handlers: must be clean *)
+        let cells = Ia.sweep ~jobs ~schemes:(schemes Symex.matrix_schemes) () in
+        report
+          ~doc:(fun () -> Ia.json_report cells)
+          ~print:(fun () -> Ia.print_report cells)
+          ~sarif_results:
+            (List.concat_map
+               (fun c ->
+                  List.map
+                    (Sarif.of_finding ~workload:c.Ia.ic_app ~scheme:c.Ia.ic_scheme)
+                    c.Ia.ic_findings)
+               cells)
+          ~bad:(Ia.cells_bad cells <> [])
       end
       else begin
-        (* the shipped service handlers: must be clean *)
-        let cells = Ia.sweep ~jobs ~schemes () in
-        if json then Fmt.pr "%s@." (Json.to_string (Ia.json_report cells))
-        else Ia.print_report cells;
-        write_sarif
-          (List.concat_map
-             (fun c ->
-                List.map
-                  (Sarif.of_finding ~workload:c.Ia.ic_app ~scheme:c.Ia.ic_scheme)
-                  c.Ia.ic_findings)
-             cells);
-        if Ia.cells_bad cells <> [] then exit 1
+        let schemes = schemes Analyze.default_schemes in
+        let cells = sweep (fun n ws -> Analyze.sweep ~env ~threads ?n ~jobs ~schemes ws) in
+        report
+          ~doc:(fun () -> Analyze.json_report cells)
+          ~print:(fun () -> Analyze.print_report cells)
+          ~sarif_results:
+            (List.concat_map
+               (fun c ->
+                  List.map
+                    (Sarif.of_finding ~workload:c.Analyze.c_workload ~scheme:c.Analyze.c_scheme)
+                    c.Analyze.c_findings)
+               cells)
+          ~bad:
+            (Analyze.cells_findings cells > 0
+             || Analyze.cells_crashed cells > 0
+             || Analyze.cells_subset_bad cells > 0)
       end
-    end
-    else if selftest then begin
-      let sts = Analyze.selftests () in
-      let ok = Analyze.print_selftests sts in
-      if not ok then exit 1
-    end
-    else begin
-      let workloads =
-        match workload with
-        | None -> Registry.all
-        | Some name -> [ find_workload name ]
-      in
-      let schemes =
-        match scheme with
-        | None -> Analyze.default_schemes
-        | Some s ->
-          check_scheme s;
-          [ s ]
-      in
-      let env = env_of outside in
-      let cells =
-        if full then
-          List.concat_map
-            (fun (w : Registry.spec) ->
-               Analyze.sweep ~env ~threads ~n:w.Registry.default_n ~jobs ~schemes [ w ])
-            workloads
-        else Analyze.sweep ~env ~threads ?n ~jobs ~schemes workloads
-      in
-      if json then Fmt.pr "%s@." (Json.to_string (Analyze.json_report cells))
-      else Analyze.print_report cells;
-      write_sarif
-        (List.concat_map
-           (fun c ->
-              List.map
-                (Sarif.of_finding ~workload:c.Analyze.c_workload
-                   ~scheme:c.Analyze.c_scheme)
-                c.Analyze.c_findings)
-           cells);
-      if
-        Analyze.cells_findings cells > 0
-        || Analyze.cells_crashed cells > 0
-        || Analyze.cells_subset_bad cells > 0
-      then exit 1
-    end
+    in
+    if symbolic && workload <> None then
+      `Error
+        ( true,
+          "-w does not apply to --symbolic, which audits the service handlers (or, with \
+           --corpus, the buggy handler corpus)" )
+    else `Ok (analyze ())
   in
   let workload_opt_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some workload_conv) None
          & info [ "w"; "workload" ] ~doc:"Audit only this workload (default: all).")
   in
   let scheme_opt_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some scheme_conv) None
          & info [ "s"; "scheme" ]
              ~doc:"Audit only this scheme (default: native, sgxbounds, asan, mpx).")
   in
@@ -650,13 +643,13 @@ let analyze_cmd =
              happens-before. --symbolic adds the taint-based interface audit \
              over the service request handlers. Exits non-zero on any finding \
              or crash.")
-    Term.(const run $ workload_opt_arg $ scheme_opt_arg $ threads_arg $ n_arg
-          $ outside_arg $ json_arg $ selftest_arg $ full_arg $ symbolic_arg
-          $ corpus_arg $ jobs_arg $ optimize_arg $ sarif_arg)
+    Term.(ret
+            (const run $ workload_opt_arg $ scheme_opt_arg $ threads_arg $ n_arg
+             $ outside_arg $ json_arg $ selftest_arg $ full_arg $ symbolic_arg
+             $ corpus_arg $ jobs_arg $ optimize_arg $ sarif_arg))
 
 let profile_cmd =
   let module Sexp = Sb_service.Experiment in
-  let module Drivers = Sb_service.Drivers in
   let path_str = function [] -> "(root)" | p -> String.concat ";" p in
   (* bucket with the largest |cycles| share; first index wins ties *)
   let dominant buckets arr =
@@ -717,8 +710,8 @@ let profile_cmd =
        workload with -w, otherwise the service app handler. *)
     let target, collect =
       match workload with
-      | Some wname ->
-        let w = find_workload wname in
+      | Some (w : Registry.spec) ->
+        let wname = w.Registry.name in
         ( wname,
           fun scheme ->
             let r, prof = Harness.run_profiled ~env ~threads ?n ~scheme w in
@@ -727,12 +720,6 @@ let profile_cmd =
              | Harness.Crashed msg -> die "profile %s/%s crashed: %s" wname scheme msg);
             prof )
       | None ->
-        let app =
-          match Drivers.of_string app with
-          | Some a -> a
-          | None ->
-            die "unknown app '%s'.@.Valid apps: %s" app (String.concat ", " Drivers.app_names)
-        in
         ( Drivers.name app,
           fun scheme ->
             match Sexp.profile_app ~env ~requests ~app ~scheme () with
@@ -740,14 +727,7 @@ let profile_cmd =
             | Error msg -> die "profile %s/%s crashed: %s" (Drivers.name app) scheme msg )
     in
     match diff with
-    | Some spec ->
-      let a_scheme, b_scheme =
-        match String.split_on_char ':' spec with
-        | [ a; b ] when a <> "" && b <> "" -> (a, b)
-        | _ -> die "--diff expects SCHEME_A:SCHEME_B (e.g. sgxbounds:mpx)"
-      in
-      check_scheme a_scheme;
-      check_scheme b_scheme;
+    | Some (a_scheme, b_scheme) ->
       let pa = collect a_scheme and pb = collect b_scheme in
       let ds = Profile.diff pa pb in
       let a_label = target ^ "/" ^ a_scheme and b_label = target ^ "/" ^ b_scheme in
@@ -755,7 +735,6 @@ let profile_cmd =
         Fmt.pr "%s@." (Json.to_string (Profile.diff_to_json ~a_label ~b_label pa ds))
       else print_diff ~a_label ~b_label pa ds
     | None ->
-      check_scheme scheme;
       let prof = collect scheme in
       let label = target ^ "/" ^ scheme in
       (match out with
@@ -772,23 +751,23 @@ let profile_cmd =
       end
   in
   let workload_opt_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some workload_conv) None
          & info [ "w"; "workload" ]
              ~doc:"Profile this registry workload (default: profile a service app).")
   in
   let app_arg =
-    Arg.(value & opt string "memcached"
+    Arg.(value & opt app_conv Drivers.Memcached
          & info [ "app" ] ~docv:"APP"
              ~doc:"Service app to profile when no -w is given: http, memcached, sqlite.")
   in
   let diff_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (pair ~sep:':' scheme_conv scheme_conv)) None
          & info [ "diff" ] ~docv:"A:B"
              ~doc:"Differential mode: profile the target under scheme A and scheme B and \
                    report per-site cycle deltas (B - A), e.g. --diff sgxbounds:mpx.")
   in
   let requests_arg =
-    Arg.(value & opt int 200
+    Arg.(value & opt nonneg_int 200
          & info [ "requests" ] ~doc:"Requests to serve in app mode (one worker, no load gen).")
   in
   let out_arg =
@@ -808,60 +787,23 @@ let profile_cmd =
 
 let serve_cmd =
   let module Service = Sb_service.Service in
-  let module Loadgen = Sb_service.Loadgen in
-  let module Drivers = Sb_service.Drivers in
   let module Sexp = Sb_service.Experiment in
   let module Latency = Sb_service.Latency in
   let module Spans = Sb_service.Spans in
-  let module Fleet = Sb_service.Fleet in
-  let module Ycsb = Sb_service.Ycsb in
-  (* "--kill I@CYCLES[,I@CYCLES...]", repeatable *)
-  let parse_kills specs =
-    List.concat_map
-      (fun spec ->
-         List.filter_map
-           (fun part ->
-              let part = String.trim part in
-              if part = "" then None
-              else
-                match String.index_opt part '@' with
-                | Some i -> (
-                    try
-                      Some
-                        ( int_of_string (String.sub part 0 i),
-                          int_of_string
-                            (String.sub part (i + 1) (String.length part - i - 1)) )
-                    with Failure _ -> die "bad --kill spec '%s' (want I@CYCLES)" part)
-                | None -> die "bad --kill spec '%s' (want I@CYCLES)" part)
-           (String.split_on_char ',' spec))
-      specs
+  (* the latency and queue-wait objects of both --json documents *)
+  let latency_fields (s : Latency.summary) (qw : Latency.summary) =
+    [
+      ( "latency_cycles",
+        Json.Obj
+          [ ("p50", Json.Int s.Latency.p50); ("p95", Json.Int s.Latency.p95);
+            ("p99", Json.Int s.Latency.p99); ("mean", Json.Float s.Latency.mean);
+            ("max", Json.Int s.Latency.max) ] );
+      ( "queue_wait_cycles",
+        Json.Obj [ ("p50", Json.Int qw.Latency.p50); ("p99", Json.Int qw.Latency.p99) ] );
+    ]
   in
   let run_fleet ~fleet ~scheme ~rate ~workers ~queue ~requests ~process ~seed
-      ~outside ~spans ~json ~policy ~ycsb ~dist ~records ~clients ~affinity ~kills =
-    let workload =
-      match Ycsb.of_string ycsb with
-      | Some w -> w
-      | None ->
-        die "unknown YCSB workload '%s'.@.Valid workloads: %s" ycsb
-          (String.concat ", " Ycsb.workload_names)
-    in
-    let dist =
-      Option.map
-        (fun d ->
-           match Ycsb.dist_of_string d with
-           | Some d -> d
-           | None -> die "unknown key distribution '%s' (uniform, zipfian, latest)" d)
-        dist
-    in
-    let policy =
-      match Fleet.policy_of_string policy with
-      | Some p -> p
-      | None ->
-        die "unknown policy '%s'.@.Valid policies: %s" policy
-          (String.concat ", " Fleet.policy_names)
-    in
-    if records < 1 then die "--records must be >= 1";
-    if clients < 1 then die "--clients must be >= 1";
+      ~outside ~spans ~json ~policy ~workload ~dist ~records ~clients ~affinity ~kills =
     let cfg =
       {
         Fleet.default with
@@ -916,7 +858,7 @@ let serve_cmd =
         Fmt.pr "%s@."
           (Json.to_string
              (Json.Obj
-                [
+                ([
                   ("mode", Json.Str "fleet");
                   ("scheme", Json.Str scheme);
                   ("env", Json.Str (Harness.env_name cfg.Fleet.env));
@@ -937,17 +879,12 @@ let serve_cmd =
                   ("restarts", Json.Int st.Fleet.restarts);
                   ("elapsed_cycles", Json.Int st.Fleet.elapsed);
                   ("throughput_rps", Json.Float (Fleet.throughput_rps st));
-                  ( "latency_cycles",
-                    Json.Obj
-                      [ ("p50", Json.Int s.Latency.p50); ("p95", Json.Int s.Latency.p95);
-                        ("p99", Json.Int s.Latency.p99); ("mean", Json.Float s.Latency.mean);
-                        ("max", Json.Int s.Latency.max) ] );
-                  ( "queue_wait_cycles",
-                    Json.Obj
-                      [ ("p50", Json.Int qw.Latency.p50); ("p99", Json.Int qw.Latency.p99) ] );
-                  ( "instances",
-                    Json.List (Array.to_list (Array.map inst_json st.Fleet.per_instance)) );
-                ]))
+                ]
+                 @ latency_fields s qw
+                 @ [
+                     ( "instances",
+                       Json.List (Array.to_list (Array.map inst_json st.Fleet.per_instance)) );
+                   ])))
       else begin
         Fmt.pr
           "fleet ycsb-%s/%s (%s): %d instances, policy %s%s, %s arrivals at %.0f rps, \
@@ -976,41 +913,8 @@ let serve_cmd =
           st.Fleet.per_instance
       end
   in
-  let run app scheme rate workers queue requests process seed outside smoke spans trace
-      json fleet policy ycsb dist records clients affinity kill =
-    check_scheme scheme;
-    let process =
-      match Loadgen.of_string process with
-      | Some p -> p
-      | None ->
-        die "unknown arrival process '%s'.@.Valid processes: %s" process
-          (String.concat ", " Loadgen.process_names)
-    in
-    if rate <= 0. then die "--rate must be positive (requests per simulated second)";
-    if workers < 1 then die "--workers must be >= 1";
-    if queue < 1 then die "--queue must be >= 1";
-    if requests < 0 then die "--requests must be >= 0";
-    if spans < 1 then die "--spans must be >= 1";
-    if fleet < 0 then die "--fleet must be >= 0";
-    let requests = if smoke then min requests 200 else requests in
-    if fleet > 0 then begin
-      (* fleet mode: the sharded KV fleet under a YCSB stream *)
-      if trace <> None then
-        die "--trace is single-instance only (use --json to inspect per-instance spans)";
-      if app <> "memcached" then
-        die "--fleet serves the built-in KV store; --app must stay 'memcached'";
-      run_fleet ~fleet ~scheme ~rate ~workers ~queue ~requests ~process ~seed ~outside
-        ~spans ~json ~policy ~ycsb ~dist ~records ~clients ~affinity
-        ~kills:(parse_kills kill)
-    end
-    else begin
-    let app =
-      match Drivers.of_string app with
-      | Some a -> a
-      | None ->
-        die "unknown app '%s'.@.Valid apps: %s" app
-          (String.concat ", " Drivers.app_names)
-    in
+  let run_single ~app ~scheme ~rate ~workers ~queue ~requests ~process ~seed ~outside
+      ~spans ~trace ~json =
     let cfg =
       { Service.workers; queue_cap = queue; requests; rate_rps = rate; process; seed }
     in
@@ -1082,17 +986,9 @@ let serve_cmd =
                   ("max_queue", Json.Int st.Service.max_queue);
                   ("elapsed_cycles", Json.Int st.Service.elapsed);
                   ("throughput_rps", Json.Float (Service.throughput_rps st));
-                  ( "latency_cycles",
-                    Json.Obj
-                      [ ("p50", Json.Int s.Latency.p50); ("p95", Json.Int s.Latency.p95);
-                        ("p99", Json.Int s.Latency.p99); ("mean", Json.Float s.Latency.mean);
-                        ("max", Json.Int s.Latency.max) ] );
-                  ( "queue_wait_cycles",
-                    Json.Obj
-                      [ ("p50", Json.Int qw.Latency.p50); ("p99", Json.Int qw.Latency.p99) ] );
-                  ("attribution", attribution);
                 ]
-                 @ span_fields)))
+                 @ latency_fields s qw
+                 @ (("attribution", attribution) :: span_fields))))
       else begin
         Fmt.pr "serve %s/%s (%s): %s arrivals at %.0f rps, %d workers, queue %d, seed %d@."
           p.Sexp.pt_app scheme (Harness.env_name p.Sexp.pt_env)
@@ -1109,30 +1005,50 @@ let serve_cmd =
         | Some file -> Fmt.pr "slowest-request trace written to %s@." file
         | None -> ()
       end
-    end
+  in
+  let run app scheme rate workers queue requests process seed outside smoke spans trace
+      json fleet policy workload dist records clients affinity kills =
+    let requests = if smoke then min requests 200 else requests in
+    let kills = List.concat kills in
+    match fleet with
+    | None ->
+      `Ok
+        (run_single ~app ~scheme ~rate ~workers ~queue ~requests ~process ~seed ~outside
+           ~spans ~trace ~json)
+    | Some _ when trace <> None ->
+      `Error (true, "--trace is single-instance only (use --json to inspect per-instance spans)")
+    | Some _ when app <> Drivers.Memcached ->
+      `Error (true, "--fleet serves the built-in KV store; --app must stay 'memcached'")
+    | Some fleet when List.exists (fun (i, _) -> i >= fleet) kills ->
+      `Error (true, Printf.sprintf "--kill names an instance outside the fleet of %d" fleet)
+    | Some fleet ->
+      (* fleet mode: the sharded KV fleet under a YCSB stream *)
+      `Ok
+        (run_fleet ~fleet ~scheme ~rate ~workers ~queue ~requests ~process ~seed ~outside
+           ~spans ~json ~policy ~workload ~dist ~records ~clients ~affinity ~kills)
   in
   let app_arg =
-    Arg.(value & opt string "memcached"
+    Arg.(value & opt app_conv Drivers.Memcached
          & info [ "app" ] ~docv:"APP" ~doc:"Case-study app: http, memcached, sqlite.")
   in
   let rate_arg =
-    Arg.(required & opt (some float) None
+    Arg.(required & opt (some pos_float) None
          & info [ "rate" ] ~docv:"RPS"
              ~doc:"Offered load in requests per simulated second (open loop: arrivals \
                    keep coming whether or not the server keeps up).")
   in
   let workers_arg =
-    Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Simulated server threads.")
+    Arg.(value & opt pos_int 4 & info [ "workers" ] ~doc:"Simulated server threads.")
   in
   let queue_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt pos_int 64
          & info [ "queue" ] ~doc:"Accept-queue bound; arrivals beyond it are shed.")
   in
   let requests_arg =
-    Arg.(value & opt int 2000 & info [ "requests" ] ~doc:"Total offered requests.")
+    Arg.(value & opt nonneg_int 2000 & info [ "requests" ] ~doc:"Total offered requests.")
   in
   let process_arg =
-    Arg.(value & opt string "poisson"
+    Arg.(value & opt process_conv Loadgen.Poisson
          & info [ "process" ] ~doc:"Arrival process: fixed, poisson, burst.")
   in
   let seed_arg =
@@ -1142,7 +1058,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "smoke" ] ~doc:"CI mode: cap --requests at 200.")
   in
   let spans_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt pos_int 8
          & info [ "spans" ] ~docv:"K"
              ~doc:"Exemplar reservoir size: keep the K slowest requests' trace spans \
                    (recorded when --trace or --json is given).")
@@ -1155,31 +1071,31 @@ let serve_cmd =
                    args; open at chrome://tracing or ui.perfetto.dev).")
   in
   let fleet_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (some pos_int) None
          & info [ "fleet" ] ~docv:"N"
              ~doc:"Serve from a fleet of N enclave instances (each with its own EPC) \
-                   behind a load balancer, driven by a YCSB-style op stream. 0 = the \
-                   single-instance path.")
+                   behind a load balancer, driven by a YCSB-style op stream. Without \
+                   it, the single-instance path.")
   in
   let policy_arg =
-    Arg.(value & opt string "hash"
+    Arg.(value & opt policy_conv Fleet.Hash
          & info [ "policy" ] ~doc:"Balancer policy: round-robin, least-loaded, hash.")
   in
   let ycsb_arg =
-    Arg.(value & opt string "A"
+    Arg.(value & opt ycsb_conv Ycsb.A
          & info [ "ycsb" ] ~docv:"W" ~doc:"YCSB core workload: A, B, C, D, E or F.")
   in
   let dist_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some dist_conv) None
          & info [ "dist" ]
              ~doc:"Override the workload's key distribution: uniform, zipfian, latest.")
   in
   let records_arg =
-    Arg.(value & opt int 4096
+    Arg.(value & opt pos_int 4096
          & info [ "records" ] ~doc:"Preloaded KV records (the YCSB key space).")
   in
   let clients_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt pos_int 64
          & info [ "clients" ] ~doc:"Distinct client connections (for --affinity).")
   in
   let affinity_arg =
@@ -1188,7 +1104,7 @@ let serve_cmd =
              ~doc:"Sticky client-to-instance routing (round-robin / least-loaded).")
   in
   let kill_arg =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all (list (pair ~sep:'@' nonneg_int nonneg_int)) []
          & info [ "kill" ] ~docv:"I@CYCLES"
              ~doc:"Kill instance I at simulated time CYCLES (in-flight requests lost, \
                    queued ones failed over, instance relaunched after teardown + \
@@ -1201,10 +1117,11 @@ let serve_cmd =
              latency percentiles. The service-layer reproduction of Figure 13. With \
              --fleet N, a sharded multi-instance KV fleet under a YCSB-style stream, \
              with optional mid-run instance failures.")
-    Term.(const run $ app_arg $ scheme_arg $ rate_arg $ workers_arg $ queue_arg
-          $ requests_arg $ process_arg $ seed_arg $ outside_arg $ smoke_arg $ spans_arg
-          $ trace_out_arg $ json_arg $ fleet_arg $ policy_arg $ ycsb_arg $ dist_arg
-          $ records_arg $ clients_arg $ affinity_arg $ kill_arg)
+    Term.(ret
+            (const run $ app_arg $ scheme_arg $ rate_arg $ workers_arg $ queue_arg
+             $ requests_arg $ process_arg $ seed_arg $ outside_arg $ smoke_arg $ spans_arg
+             $ trace_out_arg $ json_arg $ fleet_arg $ policy_arg $ ycsb_arg $ dist_arg
+             $ records_arg $ clients_arg $ affinity_arg $ kill_arg))
 
 (* Cmdliner accepts any unambiguous prefix of a long option, so `--out'
    would silently mean `--outside' and `--thr' `--threads'. Every long

@@ -315,52 +315,57 @@ echo "== optimizer selftest: certificates, tamper rejection, determinism"
 echo "== fuzz smoke: 200 symbolic seed traces through the differential oracle"
 "$CLI" fuzz --symbolic-seeds 200 -q
 
-echo "== CLI smoke: unknown names are clean errors"
-if "$CLI" run -w nosuchworkload -s sgxbounds >/dev/null 2>&1; then
-  echo "expected failure for unknown workload" >&2
-  exit 1
-fi
-if "$CLI" run -w kmeans -s nosuchscheme >/dev/null 2>&1; then
-  echo "expected failure for unknown scheme" >&2
-  exit 1
-fi
-if "$CLI" serve --app nosuchapp --rate 1000 >/dev/null 2>&1; then
-  echo "expected failure for unknown app" >&2
-  exit 1
-fi
-if "$CLI" serve --rate 1000 --fleet 2 --policy nosuchpolicy >/dev/null 2>&1; then
-  echo "expected failure for unknown fleet policy" >&2
-  exit 1
-fi
-if "$CLI" serve --rate 1000 --fleet 2 --ycsb Z >/dev/null 2>&1; then
-  echo "expected failure for unknown YCSB workload" >&2
-  exit 1
-fi
-if "$CLI" serve --rate 1000 --fleet 2 --kill "banana" >/dev/null 2>&1; then
-  echo "expected failure for malformed kill spec" >&2
-  exit 1
-fi
-if "$CLI" analyze -w nosuchworkload >/dev/null 2>&1; then
-  echo "expected failure for unknown analyze workload" >&2
-  exit 1
-fi
-if "$CLI" analyze -s nosuchscheme >/dev/null 2>&1; then
-  echo "expected failure for unknown analyze scheme" >&2
-  exit 1
-fi
-# long options must be spelled out: cmdliner alone would read `--out' as
-# `--outside' and run the native machine without a word
-"$CLI" run -w kmeans -s sgxbounds -n 512 --out --json >/dev/null 2>&1 && rc=0 || rc=$?
-if [ "$rc" -ne 124 ]; then
-  echo "expected exit 124 for an abbreviated long option, got $rc" >&2
-  exit 1
-fi
-for bad in "run -w kmeans -n 0" "stats -w kmeans -n 0" "run -w kmeans -t 0"; do
-  if "$CLI" $bad >/dev/null 2>&1; then
-    echo "expected failure for non-positive size or thread count: $bad" >&2
+echo "== CLI smoke: malformed input is a usage error before anything runs"
+# One row per malformed command line: the exit code it must give, then
+# its argv. Names match exactly (no prefixes), every count is checked on
+# every path, and flag conflicts are usage errors too; cmdliner exits
+# 124 for all of them. Long options must be spelled out: cmdliner alone
+# would read `--out' as `--outside' and run the native machine.
+while IFS='|' read -r want args; do
+  rc=0
+  "$CLI" $args >/dev/null 2>&1 </dev/null || rc=$?
+  if [ "$rc" != "$want" ]; then
+    echo "sgxbounds_cli $args: exited $rc, expected $want" >&2
     exit 1
   fi
-done
+done <<'ROWS'
+124|run -w nosuchworkload -s sgxbounds
+124|run -w kmeans -s nosuchscheme
+124|run -w kmeans -s sgxbounds-h
+124|run -w x26 -s sgxbounds
+124|run -w kmeans -s sgxbounds -n 512 --out --json
+124|run -w kmeans -n 0
+124|stats -w kmeans -n 0
+124|run -w kmeans -t 0
+124|serve --app nosuchapp --rate 1000
+124|serve --rate 1000 --fleet 2 --policy nosuchpolicy
+124|serve --rate 1000 --fleet 2 --policy least
+124|serve --rate 1000 --fleet 2 --ycsb Z
+124|serve --rate 1000 --fleet 2 --kill banana
+124|serve --rate 1000 --smoke --policy nosuch
+124|serve --rate 1000 --smoke --ycsb Z
+124|serve --rate 1000 --smoke --dist foo
+124|serve --rate 1000 --smoke --kill banana
+124|serve --rate 1000 --smoke --records 0
+124|serve --rate 1000 --fleet 0 --smoke
+124|serve --rate 1000 --fleet 2 --smoke --trace /dev/null
+124|serve --rate 1000 --fleet 2 --smoke --app http
+124|serve --rate 1000 --fleet 2 --smoke --kill 2@100
+124|analyze -w nosuchworkload
+124|analyze -s nosuchscheme
+124|analyze --symbolic -w nosuch
+124|analyze --symbolic -w kmeans
+124|profile -w kmeans --app nope
+124|fuzz --symbolic-seeds 1 --iters 0
+124|fuzz --symbolic-seeds 0
+ROWS
+# experiment names are resolved before the first experiment runs
+rc=0
+out=$(_build/default/bench/main.exe table4 nosuch 2>/dev/null) || rc=$?
+if [ "$rc" = 0 ] || echo "$out" | grep -q 'Table 4'; then
+  echo "bench/main.exe table4 nosuch: exited $rc after running Table 4" >&2
+  exit 1
+fi
 if SGXBOUNDS_ENGINE=trace "$CLI" list >/dev/null 2>&1; then
   echo "expected failure for the removed trace engine" >&2
   exit 1

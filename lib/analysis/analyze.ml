@@ -142,8 +142,6 @@ let print_report cells =
 
 (* ---------- self-test: seeded race + annotation mutants ---------- *)
 
-type selftest = { st_name : string; st_pass : bool; st_detail : string }
-
 let with_audited ?(track_races = false) scheme f =
   let ms = Memsys.create (Config.default ()) in
   let s = Harness.maker scheme ms in
@@ -214,7 +212,7 @@ let clean_kernel (s : Scheme.t) =
   s.Scheme.free p;
   s.Scheme.free q
 
-let expect name cond detail = { st_name = name; st_pass = cond; st_detail = detail }
+let expect = Finding.expect
 
 let selftests () =
   let mpx_race =
@@ -271,14 +269,3 @@ let selftests () =
   in
   [ mpx_race; sgxb_race; bad_hoist; bad_safe; bad_libc ] @ cleans
 
-let print_selftests sts =
-  List.iter
-    (fun st ->
-       Fmt.pr "%-28s %s  %s@." st.st_name
-         (if st.st_pass then "pass" else "FAIL")
-         st.st_detail)
-    sts;
-  let failed = List.filter (fun st -> not st.st_pass) sts in
-  Fmt.pr "selftest: %d/%d passed@." (List.length sts - List.length failed)
-    (List.length sts);
-  failed = []

@@ -85,3 +85,26 @@ let same a b =
 
 let subset smaller larger =
   List.for_all (fun f -> List.exists (same f) larger) smaller
+
+(* ---------- selftests ---------- *)
+
+(** One check of an analysis's own selftest suite: the auditor's
+    ({!Analyze}), the symbolic pass's ({!Symex}) and the optimizer's. *)
+type selftest = { st_name : string; st_pass : bool; st_detail : string }
+
+let expect st_name st_pass st_detail = { st_name; st_pass; st_detail }
+
+(** Print one row per selftest and a summary line; [true] iff all
+    passed. *)
+let print_selftests sts =
+  let width = List.fold_left (fun w st -> max w (String.length st.st_name)) 28 sts in
+  List.iter
+    (fun st ->
+       Fmt.pr "%-*s %s  %s@." width st.st_name
+         (if st.st_pass then "pass" else "FAIL")
+         st.st_detail)
+    sts;
+  let failed = List.filter (fun st -> not st.st_pass) sts in
+  Fmt.pr "selftest: %d/%d passed@." (List.length sts - List.length failed)
+    (List.length sts);
+  failed = []

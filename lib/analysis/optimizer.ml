@@ -733,10 +733,8 @@ let fuzz_soundness ?(seed = 11) ?(iters = 24)
 
 let selftest_workloads = [ "kmeans"; "matrixmul"; "blackscholes" ]
 
-let selftests () : Analyze.selftest list =
-  let expect name cond detail =
-    { Analyze.st_name = name; st_pass = cond; st_detail = detail }
-  in
+let selftests () =
+  let expect = Finding.expect in
   (* sound cells: certificates verify, runtime accepts them all, and the
      replays preserve every invariant *)
   let cell_tests =

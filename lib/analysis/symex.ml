@@ -765,8 +765,6 @@ let print_cells cells =
 
 (* ---------- selftests ---------- *)
 
-type selftest = { sx_name : string; sx_pass : bool; sx_detail : string }
-
 let find_cell cells cls scheme =
   List.find_opt (fun c -> c.cc_class = cls && c.cc_scheme = scheme) cells
 
@@ -781,12 +779,12 @@ let signature_kinds =
     ("order", "phase-disorder");
   ]
 
-let selftests () : selftest list =
+let selftests () =
   let cells = corpus_sweep ~schemes:[ "native"; "sgxbounds" ] () in
   let cell cls scheme = find_cell cells cls scheme in
   let tests = ref [] in
   let add name pass detail =
-    tests := { sx_name = name; sx_pass = pass; sx_detail = detail } :: !tests
+    tests := Finding.expect name pass detail :: !tests
   in
   List.iter
     (fun (cls, kind) ->
@@ -825,15 +823,3 @@ let selftests () : selftest list =
     (Printf.sprintf "%d seed traces from native findings" (List.length seeds));
   List.rev !tests
 
-let print_selftests tests =
-  List.iter
-    (fun st ->
-       Fmt.pr "%-34s %s  (%s)@." st.sx_name
-         (if st.sx_pass then "PASS" else "FAIL")
-         st.sx_detail)
-    tests;
-  let failed = List.filter (fun st -> not st.sx_pass) tests in
-  Fmt.pr "symex selftests: %d/%d passed@."
-    (List.length tests - List.length failed)
-    (List.length tests);
-  failed = []

@@ -32,8 +32,8 @@ let test_selftests () =
   List.iter
     (fun st ->
        Alcotest.(check bool)
-         (st.Analyze.st_name ^ ": " ^ st.Analyze.st_detail)
-         true st.Analyze.st_pass)
+         (st.Finding.st_name ^ ": " ^ st.Finding.st_detail)
+         true st.Finding.st_pass)
     (Analyze.selftests ())
 
 (* ---- contract soundness ---- *)

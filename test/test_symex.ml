@@ -179,8 +179,8 @@ let test_selftests () =
   List.iter
     (fun st ->
        Alcotest.(check bool)
-         (st.Symex.sx_name ^ ": " ^ st.Symex.sx_detail)
-         true st.Symex.sx_pass)
+         (st.Finding.st_name ^ ": " ^ st.Finding.st_detail)
+         true st.Finding.st_pass)
     sts
 
 let class_cases =
