@@ -14,7 +14,7 @@ echo "== per-access modules compare inline (no polymorphic compare)"
 # must reference none: annotate the compared values' types instead.
 poly_bad=0
 for m in Live Scheme Audit Symex Sitestream Optimized Memsys Vmem Cache Hierarchy Epc \
-  Ptr Native Sgxbounds Tagged Asan Mpx Baggy Freelist; do
+  Ptr Native Sgxbounds Asan Mpx Baggy Freelist; do
   # a library's main module (Sgxbounds) has no "lib__" prefix
   lc=$(echo "$m" | tr 'A-Z' 'a-z')
   obj=$(find _build/default/lib -path '*/native/*' \( -name "*__$m.o" -o -name "$lc.o" \))
@@ -318,7 +318,9 @@ echo "== fuzz smoke: 200 symbolic seed traces through the differential oracle"
 echo "== CLI smoke: malformed input is a usage error before anything runs"
 # One row per malformed command line: the exit code it must give, then
 # its argv. Names match exactly (no prefixes), every count is checked on
-# every path, and flag conflicts are usage errors too; cmdliner exits
+# every path, and flag conflicts are usage errors too (a fleet-only
+# option without --fleet, --corpus without --symbolic, --app with -w
+# on profile); cmdliner exits
 # 124 for all of them. Long options must be spelled out: cmdliner alone
 # would read `--out' as `--outside' and run the native machine.
 while IFS='|' read -r want args; do
@@ -351,11 +353,23 @@ done <<'ROWS'
 124|serve --rate 1000 --fleet 2 --smoke --trace /dev/null
 124|serve --rate 1000 --fleet 2 --smoke --app http
 124|serve --rate 1000 --fleet 2 --smoke --kill 2@100
+124|serve --rate 1000 --smoke --kill 0@5 --policy round-robin
+124|serve --rate 1000 --smoke --policy hash
+124|serve --rate 1000 --smoke --ycsb B
+124|serve --rate 1000 --smoke --dist uniform
+124|serve --rate 1000 --smoke --records 64
+124|serve --rate 1000 --smoke --clients 8
+124|serve --rate 1000 --smoke --affinity
+124|serve --rate 1000 --smoke --kill 0@5
 124|analyze -w nosuchworkload
 124|analyze -s nosuchscheme
 124|analyze --symbolic -w nosuch
 124|analyze --symbolic -w kmeans
+124|analyze --corpus
+124|analyze --corpus -w kmeans
 124|profile -w kmeans --app nope
+124|profile -w kmeans --app http
+124|profile -w kmeans --app memcached
 124|fuzz --symbolic-seeds 1 --iters 0
 124|fuzz --symbolic-seeds 0
 ROWS

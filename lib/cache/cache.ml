@@ -176,6 +176,20 @@ let access t ~line =
    hit is the only remaining effect of [access]. *)
 let count_mru_hits t n = t.hits <- t.hits + n
 
+(* Record an L1 hit on the line accessed just before the most recent
+   one. By LRU that line sits at way 1 of its set when the most recent
+   line shares the set (way 0 holds that line), and at way 0 otherwise,
+   so [access] would find it in one of the first two ways and move it
+   to the front: a swap of ways 0 and 1, or nothing. *)
+let promote t ~line =
+  let base = (line land (t.nsets - 1)) * t.assoc in
+  let w0 = Array.unsafe_get t.tags base in
+  if w0 <> line then begin
+    t.tags.(base + 1) <- w0;
+    Array.unsafe_set t.tags base line
+  end;
+  t.hits <- t.hits + 1
+
 let flush t = Array.fill t.tags 0 (Array.length t.tags) (-1)
 let hits t = t.hits
 let misses t = t.misses

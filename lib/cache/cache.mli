@@ -25,6 +25,14 @@ val access : t -> line:int -> bool
     system's last-line fast path. *)
 val count_mru_hits : t -> int -> unit
 
+(** [promote t ~line] records a hit on [line] without probing. Caller
+    contract: [line] sits at way 0 or way 1 of its set, which holds for
+    the line accessed just before the most recent access when the cache
+    has at least two ways (the most recent line took way 0 of its own
+    set). Equivalent to [access] on such a line: the hit is counted, and
+    ways 0 and 1 swap when [line] is at way 1. *)
+val promote : t -> line:int -> unit
+
 (** Invalidate everything (e.g. between experiment runs). *)
 val flush : t -> unit
 

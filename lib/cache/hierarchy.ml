@@ -18,12 +18,16 @@ let create (cfg : Sb_machine.Config.t) =
     costs = cfg.costs;
   }
 
-let access t ~addr =
-  let line = addr lsr t.line_shift in
-  if Cache.access t.l1 ~line then L1
-  else if Cache.access t.l2 ~line then L2
+let l1 t = t.l1
+
+let below_l1 t ~line =
+  if Cache.access t.l2 ~line then L2
   else if Cache.access t.llc ~line then Llc
   else Dram
+
+let access t ~addr =
+  let line = addr lsr t.line_shift in
+  if Cache.access t.l1 ~line then L1 else below_l1 t ~line
 
 let hit_cost t = function
   | L1 -> t.costs.l1_hit
@@ -32,11 +36,6 @@ let hit_cost t = function
   | Dram -> 0
 
 let l1_hit_cost t = t.costs.l1_hit
-
-(* See Cache.count_mru_hit: the caller has proven (via its last-line
-   memo) that the line is at way 0 of L1, so the access is an L1 hit
-   with no recency or lower-level effects. *)
-let count_l1_mru_hits t n = Cache.count_mru_hits t.l1 n
 
 let llc_misses t = Cache.misses t.llc
 

@@ -14,8 +14,18 @@ val create : Sb_machine.Config.t -> t
 
 (** [access t ~addr] walks the hierarchy for the line containing [addr]
     and returns where it was served; inserts the line into every level it
-    missed. *)
+    missed. It is [Cache.access (l1 t)] on the line number, then
+    [below_l1] on a miss. *)
 val access : t -> addr:int -> served
+
+(** The L1 cache, for a caller that probes it directly and keeps its
+    own memo of L1 contents (the memory system's line memos). *)
+val l1 : t -> Cache.t
+
+(** [below_l1 t ~line] finishes an access to line number [line] (address
+    divided by line size) that missed L1: probes L2, then the LLC, and
+    returns where it was served — never [L1]. *)
+val below_l1 : t -> line:int -> served
 
 (** Cycles charged for a hit at the given level ([Dram] returns 0 — the
     memory system adds the DRAM/EPC cost itself). *)
@@ -23,12 +33,6 @@ val hit_cost : t -> served -> int
 
 (** [hit_cost t L1] without constructing a [served]. *)
 val l1_hit_cost : t -> int
-
-(** Count an L1 hit the caller short-circuited. Contract as in
-    {!Cache.count_mru_hits}: the line was the hierarchy's most recent
-    access, so it sits at way 0 of L1 and [access] would have returned
-    [L1] while changing nothing but the hit counter. *)
-val count_l1_mru_hits : t -> int -> unit
 
 val llc_misses : t -> int
 

@@ -13,7 +13,7 @@
     full simulated space, the tag field is [Sb_vmem.Vmem.addr_bits - 3]
     bits wide, and upper bounds must be 8-byte aligned (which the
     allocator guarantees by padding the object + footer to 8 bytes).
-    Properties mirror {!Tagged}: round-trips are exact for aligned
+    Properties mirror {!Sgxbounds.Tagged}: round-trips are exact for aligned
     bounds, and pointer arithmetic cannot touch the tag. *)
 
 let align = 8

@@ -6,7 +6,7 @@
 
     - [Naive] — the straightforward reference code every optimisation is
       proven against;
-    - [Fast] — MRU fast paths, translation memos, unboxed codecs,
+    - [Fast] — MRU fast paths, a two-line L1 memo, unboxed codecs,
       same-line streak batching.
 
     Selection is sampled once per component at [create] time, so a

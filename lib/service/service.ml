@@ -67,7 +67,8 @@ let summary st = Latency.summary st.latency
 (** [run ?trace ms cfg handler] drives [handler ~worker] once per served
     request. The handler runs on the worker's Mt thread and is expected
     to advance that thread's simulated clock (memory traffic, ALU work,
-    SCONE calls); it yields implicitly through [Memsys.maybe_yield].
+    SCONE calls); it yields implicitly, through the memory system's yield
+    countdown (one yield per 32 memory accesses).
 
     With [trace], every served request is recorded as a {!Spans.span}
     (arrival → dequeue → completion, exec-window cycles split by memsys

@@ -1,6 +1,7 @@
 module Config = Sb_machine.Config
 module Vmem = Sb_vmem.Vmem
 module Hierarchy = Sb_cache.Hierarchy
+module Cache = Sb_cache.Cache
 module Telemetry = Sb_telemetry.Telemetry
 
 type access_class =
@@ -47,6 +48,8 @@ type t = {
   cfg : Config.t;
   vmem : Vmem.t;
   hier : Hierarchy.t;
+  l1 : Cache.t;             (* [Hierarchy.l1 hier] *)
+  line_shift : int;
   epc : Epc.t option;
   tel : Telemetry.t;
   clocks : int array;
@@ -68,13 +71,24 @@ type t = {
   mutable yield_countdown : int;
   line_mask : int;
   dram_cost : int;          (* cost of a DRAM access in the current env *)
-  (* Fast engine: last-line cost memo. Holds the line-aligned address of
-     the hierarchy's most recent access (so that line is at way 0 of L1
-     by the LRU invariant), or -1. A single-line access to it is an L1
-     hit costing [l1_cost] with no other state change — the short path
-     skips the hierarchy walk and the EPC entirely, with identical
-     stats. Invalidated by [reset] (which flushes the caches). *)
+  (* Fast engine: two line memos, each a line-aligned address or -1.
+     [last_line] is the line of the hierarchy's most recent access, which
+     LRU leaves at way 0 of its L1 set: an access to it is an L1 hit
+     costing [l1_cost] that changes nothing but the hit counter.
+     [prev_line] is the line accessed just before [last_line] (never
+     equal to it): LRU leaves it at way 1 of its set when [last_line]
+     shares the set and at way 0 otherwise, so an access to it is an L1
+     hit too, whose only other effect is that swap ([Cache.promote]);
+     the two memos then trade places. A checked access alternates a
+     data line with a metadata line (footer, shadow byte), and this
+     pair of memos serves both. Every probe path updates them: a split
+     access leaves its low line in [prev_line], [touch_range] and
+     [reset] clear it. [prev_line] stays -1 when [two_lines] is false:
+     on the naive engine, and when L1 has one way (the line before the
+     last may have been evicted). *)
   mutable last_line : int;
+  mutable prev_line : int;
+  two_lines : bool;
   l1_cost : int;
   (* L2/LLC hit costs, cached so [line_cost] resolves the common probe
      outcomes without a cross-module [Hierarchy.hit_cost] call. *)
@@ -114,25 +128,22 @@ let yield_quantum = 32
 
 (* ---------- cost model ---------- *)
 
-let maybe_yield t =
-  t.yield_countdown <- t.yield_countdown - 1;
-  if t.yield_countdown <= 0 then begin
-    t.yield_countdown <- yield_quantum;
-    if Sb_machine.Eff.scheduler_active () then Effect.perform Sb_machine.Eff.Yield
-  end
-
-(* Cost of touching one cache line at [addr]. *)
+(* Cost of touching one cache line at [addr]: the L1 probe here, the
+   rest of the hierarchy only on an L1 miss. *)
 let line_cost t addr =
-  match Hierarchy.access t.hier ~addr with
-  | Hierarchy.L1 -> t.l1_cost
-  | Hierarchy.L2 -> t.l2_cost
-  | Hierarchy.Llc -> t.llc_cost
-  | Hierarchy.Dram ->
-    let c = t.dram_cost in
-    (match t.epc with
-     | None -> c
-     | Some epc ->
-       if Epc.touch epc ~page:(addr lsr 12) then c else c + t.cfg.costs.epc_fault)
+  let line = addr lsr t.line_shift in
+  if Cache.access t.l1 ~line then t.l1_cost
+  else
+    match Hierarchy.below_l1 t.hier ~line with
+    | Hierarchy.L2 -> t.l2_cost
+    | Hierarchy.Llc -> t.llc_cost
+    | Hierarchy.Dram ->
+      let c = t.dram_cost in
+      (match t.epc with
+       | None -> c
+       | Some epc ->
+         if Epc.touch epc ~page:(addr lsr 12) then c else c + t.cfg.costs.epc_fault)
+    | Hierarchy.L1 -> assert false (* [below_l1] never answers L1 *)
 
 (* Apply a pending same-line streak: [pend_k] accesses, each an L1 hit
    of [l1_cost] cycles charged to class [pend_ci]. Must run before any
@@ -148,7 +159,7 @@ let flush_pending t =
     let c = k * t.l1_cost in
     t.cls_cycles.(ci) <- t.cls_cycles.(ci) + c;
     t.clocks.(t.tid) <- t.clocks.(t.tid) + c;
-    Hierarchy.count_l1_mru_hits t.hier k
+    Cache.count_mru_hits t.l1 k
   end
 
 let create ?tel (cfg : Config.t) =
@@ -187,6 +198,8 @@ let create ?tel (cfg : Config.t) =
       cfg;
       vmem = Vmem.create cfg;
       hier;
+      l1 = Hierarchy.l1 hier;
+      line_shift = Sb_machine.Util.log2_floor cfg.line_size;
       epc;
       tel;
       clocks = Array.make cfg.max_threads 0;
@@ -201,6 +214,8 @@ let create ?tel (cfg : Config.t) =
       line_mask = lnot (cfg.line_size - 1);
       dram_cost;
       last_line = -1;
+      prev_line = -1;
+      two_lines = fast && cfg.l1.assoc >= 2;
       l1_cost = Hierarchy.l1_hit_cost hier;
       l2_cost = cfg.costs.l2_hit;
       llc_cost = cfg.costs.llc_hit;
@@ -235,20 +250,27 @@ let cfg t = t.cfg
 let vmem t = t.vmem
 let telemetry t = t.tel
 
-let charge_access t ci cost =
-  t.cls_accesses.(ci) <- t.cls_accesses.(ci) + 1;
-  t.cls_cycles.(ci) <- t.cls_cycles.(ci) + cost;
+(* [ci] comes from [class_index], so the class arrays need no bounds
+   check. The yield countdown is inlined: one decrement and one compare
+   per access, and the scheduler is asked only once per quantum. *)
+let[@inline] charge_access t ci cost =
+  Array.unsafe_set t.cls_accesses ci (Array.unsafe_get t.cls_accesses ci + 1);
+  Array.unsafe_set t.cls_cycles ci (Array.unsafe_get t.cls_cycles ci + cost);
   t.clocks.(t.tid) <- t.clocks.(t.tid) + cost;
   if t.observing then t.observe ci cost;
   if t.profiling then t.prof ci cost;
-  maybe_yield t
+  t.yield_countdown <- t.yield_countdown - 1;
+  if t.yield_countdown <= 0 then begin
+    t.yield_countdown <- yield_quantum;
+    if Sb_machine.Eff.scheduler_active () then Effect.perform Sb_machine.Eff.Yield
+  end
 
 (* One access of class [ci]: the cost model every costed access and
    metadata touch goes through. *)
 let access t ci ~addr ~width =
   let first = addr land t.line_mask in
   let last = (addr + width - 1) land t.line_mask in
-  if first = t.last_line && first = last then begin
+  if first = last && first = t.last_line then begin
     (* Same line as the previous access: guaranteed L1 hit at way 0. *)
     if t.batch then begin
       if t.pend_k > 0 && ci <> t.pend_ci then flush_pending t;
@@ -263,17 +285,27 @@ let access t ci ~addr ~width =
     end
     else begin
       t.mem_accesses <- t.mem_accesses + 1;
-      Hierarchy.count_l1_mru_hits t.hier 1;
+      Cache.count_mru_hits t.l1 1;
       charge_access t ci t.l1_cost
     end
   end
+  else if first = last && first = t.prev_line then begin
+    (* The line before the last one: an L1 hit at way 1 or way 0. *)
+    if t.pend_k > 0 then flush_pending t;
+    t.mem_accesses <- t.mem_accesses + 1;
+    Cache.promote t.l1 ~line:(first lsr t.line_shift);
+    t.prev_line <- t.last_line;
+    t.last_line <- first;
+    charge_access t ci t.l1_cost
+  end
   else begin
-    flush_pending t;
+    if t.pend_k > 0 then flush_pending t;
     t.mem_accesses <- t.mem_accesses + 1;
     (* The two line probes of a split access must run low-line-first:
-       the last-line memo (and the L1 MRU invariant it relies on) needs
-       [last] to be the most recently probed line, and OCaml evaluates
-       [+] operands right-to-left, so the order is pinned with a let. *)
+       the line memos (and the L1 LRU order they rely on) need [last]
+       to be the most recently probed line and [first] the one before,
+       and OCaml evaluates [+] operands right-to-left, so the order is
+       pinned with a let. *)
     let cost =
       if first = last then line_cost t addr
       else begin
@@ -281,6 +313,7 @@ let access t ci ~addr ~width =
         c_first + line_cost t (addr + width - 1)
       end
     in
+    if t.two_lines then t.prev_line <- (if first = last then t.last_line else first);
     if t.fast then t.last_line <- last;
     charge_access t ci cost
   end
@@ -289,7 +322,7 @@ let touch ?(cls = Data) t ~addr ~width = access t (class_index cls) ~addr ~width
 
 let touch_range ?(cls = Data) t ~addr ~len =
   if len > 0 then begin
-    flush_pending t;
+    if t.pend_k > 0 then flush_pending t;
     let line = t.cfg.line_size in
     let first = addr land t.line_mask in
     let last = (addr + len - 1) land t.line_mask in
@@ -302,6 +335,7 @@ let touch_range ?(cls = Data) t ~addr ~len =
       a := !a + line
     done;
     if t.fast then t.last_line <- last;
+    t.prev_line <- -1;
     let ci = class_index cls in
     t.mem_accesses <- t.mem_accesses + !n;
     t.cls_accesses.(ci) <- t.cls_accesses.(ci) + !n - 1;  (* charge_access adds 1 *)
@@ -396,6 +430,7 @@ let reset t =
   Array.fill t.cls_cycles 0 n_classes 0;
   t.compute_cycles <- 0;
   t.last_line <- -1;
+  t.prev_line <- -1;
   Hierarchy.flush t.hier;
   Hierarchy.reset_stats t.hier;
   Telemetry.reset t.tel;

@@ -1,3 +1,10 @@
+(* The simulated enclave address space: a sparse two-level page table of
+   4 KiB pages with per-page permissions. Every access walks the table
+   (see Translation below); nothing is memoized, so [unmap] and
+   [protect] have no translation state to invalidate. The engines differ
+   only in the codecs: the fast engine composes wide values from unboxed
+   16-bit reads and copies strings a page at a time. *)
+
 let addr_bits = 31
 let addr_mask = (1 lsl addr_bits) - 1
 let page_size = 4096
@@ -14,9 +21,9 @@ exception Enclave_oom of { requested : int; reserved : int; limit : int }
 (* A mapped page's [data] starts as the shared [zero] buffer and gets
    its own bytes on its first write ([own_data]): a mapped page costs
    host memory only once it is written. [zero] is never written — every
-   write path goes through [get_page_wr_slow], which calls [own_data]
-   before handing the bytes out — so sharing it across all address
-   spaces (and domains) is safe. *)
+   write path goes through [get_page_wr], which calls [own_data] before
+   handing the bytes out — so sharing it across all address spaces (and
+   domains) is safe. *)
 type page = { mutable data : Bytes.t; mutable perm : perm }
 
 let zero = Bytes.make page_size '\000'
@@ -51,17 +58,7 @@ type t = {
      guard zone, mirroring the paper's vm.mmap_min_addr = 0 setup where
      the enclave starts at 0 but page 0 is still never handed out. *)
   mutable cursor : int;
-  (* Fast engine: last-page translation memos, split read/write so a
-     read streak and a write streak each stay memoized. [rd_idx]/[wr_idx]
-     hold the page index of the memoized page or -1; invalidated by
-     unmap/protect. Only ever hold mapped pages with a permission that
-     allows the memoized direction, so a memo hit can skip the range
-     check, the table loads and the permission match. A write memo only
-     ever holds a page with its own bytes. *)
-  mutable rd_idx : int;
-  mutable rd_page : page;
-  mutable wr_idx : int;
-  mutable wr_page : page;
+  (* Fast engine: unboxed codecs and page-chunked string copies. *)
   fast : bool;
   (* [blit]'s staging buffer, grown to the longest copy so far: a copy
      allocates only when it is longer than every earlier one. *)
@@ -75,10 +72,6 @@ let create (cfg : Sb_machine.Config.t) =
     reserved = 0;
     peak = 0;
     cursor = 16;
-    rd_idx = -1;
-    rd_page = sentinel;
-    wr_idx = -1;
-    wr_page = sentinel;
     fast = Sb_machine.Fastpath.is_enabled ();
     stage = Bytes.empty;
   }
@@ -86,12 +79,6 @@ let create (cfg : Sb_machine.Config.t) =
 let reserved_bytes t = t.reserved
 let peak_reserved_bytes t = t.peak
 let headroom t = t.limit - t.reserved
-
-let invalidate_memos t =
-  t.rd_idx <- -1;
-  t.rd_page <- sentinel;
-  t.wr_idx <- -1;
-  t.wr_page <- sentinel
 
 (* Page [idx]'s entry. Bounds-checked on the directory, so an index past
    the top of the address space raises [Invalid_argument]; the access
@@ -163,57 +150,39 @@ let unmap t ~addr ~len =
       t.dir.(i lsr leaf_bits).(i land leaf_mask) <- sentinel;
       t.reserved <- t.reserved - page_size
     end
-  done;
-  invalidate_memos t
+  done
 
 let protect t ~addr ~len ~perm =
   let page0 = addr lsr page_shift and npages = pages_of_len len in
-  invalidate_memos t;
   for i = page0 to page0 + npages - 1 do
     let p = page t i in
     if p == sentinel then fault (i lsl page_shift) Unmapped else p.perm <- perm
   done
 
-(* Translation. The memo compare alone is a complete safety check: a
-   memoized index is always a valid mapped page index, and any [addr]
-   outside [0, addr_mask] yields an index (logical shift) that no memo
-   can hold, falling through to the checked path. *)
-
-let get_page_rd_slow t addr =
-  if addr < 0 || addr > addr_mask then fault addr Unmapped;
-  let idx = addr lsr page_shift in
-  let p = page_unsafe t idx in
-  match p.perm with
-  | Guard -> if p == sentinel then fault addr Unmapped else fault addr Guard_hit
-  | Read_only | Read_write ->
-    if t.fast then begin
-      t.rd_idx <- idx;
-      t.rd_page <- p
-    end;
-    p
+(* Translation: one range-checked, permission-checked walk of the two
+   table levels, the same on both engines. There is no page memo: a
+   checked access alternates between a data page and a metadata page
+   (an SGXBounds footer, an ASan shadow byte), so a one-page memo
+   mostly missed, and every miss stored a pointer into the record (a
+   [caml_modify]). [addr lsr addr_bits <> 0] is the range check: it is
+   true for every negative [addr] and every [addr] above [addr_mask]. *)
 
 let get_page_rd t addr =
-  let idx = addr lsr page_shift in
-  if idx = t.rd_idx then t.rd_page else get_page_rd_slow t addr
+  if addr lsr addr_bits <> 0 then fault addr Unmapped;
+  let p = page_unsafe t (addr lsr page_shift) in
+  match p.perm with
+  | Guard -> if p == sentinel then fault addr Unmapped else fault addr Guard_hit
+  | Read_only | Read_write -> p
 
-let get_page_wr_slow t addr =
-  if addr < 0 || addr > addr_mask then fault addr Unmapped;
-  let idx = addr lsr page_shift in
-  let p = page_unsafe t idx in
+let get_page_wr t addr =
+  if addr lsr addr_bits <> 0 then fault addr Unmapped;
+  let p = page_unsafe t (addr lsr page_shift) in
   match p.perm with
   | Read_write ->
     own_data p;
-    if t.fast then begin
-      t.wr_idx <- idx;
-      t.wr_page <- p
-    end;
     p
   | Guard -> if p == sentinel then fault addr Unmapped else fault addr Guard_hit
   | Read_only -> fault addr Write_to_ro
-
-let get_page_wr t addr =
-  let idx = addr lsr page_shift in
-  if idx = t.wr_idx then t.wr_page else get_page_wr_slow t addr
 
 let off addr = addr land (page_size - 1)
 

@@ -42,6 +42,42 @@ let test_stats () =
   Cache.reset_stats c;
   Alcotest.(check int) "reset" 0 (Cache.misses c)
 
+(* [promote] contract: right after [access a; access b], promoting [a]
+   has the effect of a second [access a] — on the counters and on every
+   later hit or miss. [a] sits at way 1 when [b] shares its set and at
+   way 0 when it does not. *)
+let check_promote ~assoc ~a ~b () =
+  let make () =
+    let c = Cache.create ~size:(4 * assoc * 64) ~assoc ~line_size:64 in
+    (* the same warm contents in both copies *)
+    let rng = Sb_machine.Rng.create 5 in
+    for _ = 1 to 64 do
+      ignore (Cache.access c ~line:(Sb_machine.Rng.int rng 24))
+    done;
+    ignore (Cache.access c ~line:a);
+    ignore (Cache.access c ~line:b);
+    c
+  in
+  let accessed = make () and promoted = make () in
+  Alcotest.(check bool) "second access hits" true (Cache.access accessed ~line:a);
+  Cache.promote promoted ~line:a;
+  let later c = List.init 48 (fun i -> Cache.access c ~line:((i * 7) mod 24)) in
+  Alcotest.(check (list bool)) "later hits and misses" (later accessed) (later promoted);
+  Alcotest.(check int) "hits" (Cache.hits accessed) (Cache.hits promoted);
+  Alcotest.(check int) "misses" (Cache.misses accessed) (Cache.misses promoted)
+
+let test_promote () =
+  List.iter
+    (fun kind ->
+       Sb_machine.Fastpath.with_kind kind (fun () ->
+           (* 4 sets: lines 1 and 5 share a set, 1 and 2 do not *)
+           List.iter
+             (fun assoc ->
+                check_promote ~assoc ~a:1 ~b:5 ();
+                check_promote ~assoc ~a:1 ~b:2 ())
+             [ 2; 4; 8 ]))
+    [ Sb_machine.Fastpath.Fast; Sb_machine.Fastpath.Naive ]
+
 let test_hierarchy_levels () =
   let h = Hierarchy.create (cfg ()) in
   Alcotest.(check bool) "first access goes to DRAM" true
@@ -97,6 +133,8 @@ let suite =
     Alcotest.test_case "sets isolate lines" `Quick test_sets_isolate;
     Alcotest.test_case "flush empties cache" `Quick test_flush;
     Alcotest.test_case "hit/miss statistics" `Quick test_stats;
+    Alcotest.test_case "promote = second access of the line before the last" `Quick
+      test_promote;
     Alcotest.test_case "hierarchy fills on miss" `Quick test_hierarchy_levels;
     Alcotest.test_case "hierarchy costs ordered" `Quick test_hierarchy_costs_ordered;
     Alcotest.test_case "LLC miss counting under streaming" `Quick test_llc_miss_counting;

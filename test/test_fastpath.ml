@@ -394,9 +394,9 @@ let pattern_kernel () =
 
 let test_patterns () = check_kernel "patterns" pattern_kernel
 
-(* Unmap and protect mid-stream: the translation memos must die with
-   the mapping, and a store fault must land at the same access with
-   identical pre-fault accounting. *)
+(* Unmap and protect mid-stream: every access after the change must see
+   it, and a store fault must land at the same access with identical
+   pre-fault accounting. *)
 let remap_kernel () =
   let ms = Memsys.create (Config.default ()) in
   let vm = Memsys.vmem ms in
@@ -427,6 +427,103 @@ let remap_kernel () =
   (List.rev !probes, !digest)
 
 let test_remap () = check_kernel "remap" remap_kernel
+
+(* Metadata alternation: a checked access touches a data line and then
+   a metadata line — an SGXBounds footer on the object's page, or an
+   ASan shadow byte on another page — so the fast engine's two line
+   memos serve the pair in turn. Objects are visited in pseudo-random
+   order; split accesses, bulk probes, returns to the data line before
+   the last, footer stores and thread switches land mid-streak, then
+   [reset], and [protect]/[unmap] of the shadow page. [l1] is the L1
+   geometry: with one way the second memo must stay off. *)
+let alternation_kernel (l1 : Config.cache_geometry) () =
+  let ms = Memsys.create { (Config.default ()) with Config.l1 } in
+  let vm = Memsys.vmem ms in
+  let data_len = 4 * 4096 in
+  let data = Vmem.map vm ~len:data_len ~perm:Vmem.Read_write () in
+  let shadow = Vmem.map vm ~len:4096 ~perm:Vmem.Read_write () in
+  let probes = ref [] in
+  let checkpoint () = probes := probe ms :: !probes in
+  let digest = ref 0 in
+  let note v = digest := (!digest * 31) + v in
+  let rng = Sb_machine.Rng.create 42 in
+  let rand n = Sb_machine.Rng.int rng n in
+  let last_data = ref data and last_split = ref (data + 60) in
+  (* one object: a few data accesses, each followed by its metadata *)
+  let visit ~meta ~shadow_store =
+    let size = 64 * (1 + rand 4) in
+    let o = data + (8 * rand ((data_len - size - 8) / 8)) in
+    for j = 0 to rand 6 do
+      let addr = o + (8 * j mod size) in
+      if rand 4 = 0 then Memsys.store ms ~addr ~width:8 (j + o)
+      else note (Memsys.load ms ~addr ~width:8);
+      (match meta with
+       | `Footer -> note (Memsys.load ~cls:Memsys.Footer_meta ms ~addr:(o + size) ~width:4)
+       | `Shadow ->
+         let sh = shadow + ((addr - data) lsr 3) in
+         if shadow_store then Memsys.store ~cls:Memsys.Shadow ms ~addr:sh ~width:1 j
+         else note (Memsys.load ~cls:Memsys.Shadow ms ~addr:sh ~width:1));
+      (match rand 40 with
+       | 0 ->
+         (* a split access on some other line pair *)
+         last_split := data + (64 * rand ((data_len / 64) - 1)) + 60;
+         note (Memsys.load ms ~addr:!last_split ~width:8)
+       | 1 -> Memsys.touch_range ms ~addr:o ~len:(64 * (1 + rand 8))
+       | 2 -> Memsys.set_thread ms (rand 2)
+       | 3 -> note (Memsys.load ms ~addr:!last_data ~width:4)
+       | 4 -> Memsys.store ~cls:Memsys.Footer_meta ms ~addr:(o + size) ~width:4 o
+       | 5 -> note (Memsys.load ms ~addr:!last_split ~width:4)
+       | _ -> ());
+      last_data := addr
+    done
+  in
+  let phase ?(shadow_store = false) n meta =
+    for _ = 1 to n do
+      let meta =
+        match meta with
+        | `Mixed -> if rand 2 = 0 then `Footer else `Shadow
+        | (`Footer | `Shadow) as m -> m
+      in
+      visit ~meta ~shadow_store
+    done
+  in
+  phase 800 `Footer;
+  checkpoint ();
+  phase 800 `Shadow;
+  checkpoint ();
+  phase 800 `Mixed;
+  checkpoint ();
+  (* [reset] flushes the caches: a line memoized before it must miss *)
+  note (Memsys.load ms ~addr:data ~width:8);
+  note (Memsys.load ~cls:Memsys.Footer_meta ms ~addr:(data + 64) ~width:4);
+  Memsys.reset ms;
+  note (Memsys.load ms ~addr:data ~width:8);
+  phase 300 `Mixed;
+  checkpoint ();
+  let faulting f =
+    try
+      for i = 1 to 400 do
+        if i = 200 then f ();
+        phase 1 `Shadow ~shadow_store:true
+      done;
+      note (-1)
+    with Vmem.Fault { addr; _ } -> note (addr - shadow)
+  in
+  faulting (fun () -> Vmem.protect vm ~addr:shadow ~len:4096 ~perm:Vmem.Read_only);
+  checkpoint ();
+  Vmem.protect vm ~addr:shadow ~len:4096 ~perm:Vmem.Read_write;
+  faulting (fun () -> Vmem.unmap vm ~addr:shadow ~len:4096);
+  checkpoint ();
+  (List.rev !probes, !digest)
+
+(* 1 set x 8 ways (the default), several sets x 2 ways, and 1 way. *)
+let test_alternation () =
+  List.iter
+    (fun (size, assoc) ->
+       check_kernel
+         (Printf.sprintf "alternation(%dB,%d-way)" size assoc)
+         (alternation_kernel { Config.size; assoc }))
+    [ (512, 8); (512, 2); (2048, 2); (512, 1) ]
 
 (* free/realloc during hot scans, through a real scheme's allocator:
    the object may move, and later accesses must go through the new
@@ -624,6 +721,8 @@ let suite =
     Alcotest.test_case "fast = naive: EPC tracer events" `Quick test_epc_tracer;
     Alcotest.test_case "fast = naive: stride patterns, breaks, probes" `Quick test_patterns;
     Alcotest.test_case "fast = naive: unmap/protect mid-stream" `Quick test_remap;
+    Alcotest.test_case "fast = naive: data/metadata alternation, L1 geometries" `Quick
+      test_alternation;
     Alcotest.test_case "fast = naive: free/realloc through a scheme" `Quick test_alloc;
     Alcotest.test_case "fast = naive: thread switch mid-streak" `Quick test_thread_switch;
     Alcotest.test_case "fast = naive: telemetry hub disables batching" `Quick
