@@ -326,7 +326,7 @@ let validate_bench_cmd =
     | Error msg -> die "%s: invalid JSON: %s" file msg
     | Ok j ->
       (match Sb_service.Score.validate j with
-       | Ok () -> Fmt.pr "%s: valid score document (engine, score_total, kernels, trend)@." file
+       | Ok () -> Fmt.pr "%s: valid score document (engine, profile, score_total, kernels, trend)@." file
        | Error msg -> die "%s: %s" file msg)
   in
   let file_arg =
@@ -336,8 +336,8 @@ let validate_bench_cmd =
     (Cmd.info "validate-bench"
        ~doc:"Validate a score document emitted by `bench/main.exe score' (the committed \
              one is BENCH.json): must parse as JSON and carry \"bench\": \"score\", an \
-             engine (naive or fast), a numeric score_total, per-kernel scores and a \
-             trend array. The data files under results/ are checked by \
+             engine (naive or fast), a build profile, a numeric score_total, per-kernel \
+             scores and a trend array. The data files under results/ are checked by \
              `bench/main.exe reproduce'.")
     Term.(const run $ file_arg)
 

@@ -5,7 +5,15 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== dune build"
+echo "== dune build --profile dev (opaque modules) and its test suite"
+# The default build is release (dune-workspace), which inlines across
+# modules. Build and test the dev profile, where every module is
+# compiled -opaque, in a build directory of its own, so an allocation
+# pin that holds in only one profile fails here.
+dune build --profile dev --build-dir _build_dev
+dune runtest --profile dev --build-dir _build_dev
+
+echo "== dune build (release, the default)"
 dune build
 
 echo "== per-access modules compare inline (no polymorphic compare)"
@@ -14,7 +22,7 @@ echo "== per-access modules compare inline (no polymorphic compare)"
 # must reference none: annotate the compared values' types instead.
 poly_bad=0
 for m in Live Scheme Audit Symex Sitestream Optimized Memsys Vmem Cache Hierarchy Epc \
-  Ptr Native Sgxbounds Asan Mpx Baggy Freelist; do
+  Ptr Native Sgxbounds Tagged Asan Mpx Baggy Freelist; do
   # a library's main module (Sgxbounds) has no "lib__" prefix
   lc=$(echo "$m" | tr 'A-Z' 'a-z')
   obj=$(find _build/default/lib -path '*/native/*' \( -name "*__$m.o" -o -name "$lc.o" \))
@@ -30,9 +38,6 @@ for m in Live Scheme Audit Symex Sitestream Optimized Memsys Vmem Cache Hierarch
   fi
 done
 test "$poly_bad" = 0
-
-echo "== dune build --profile release"
-dune build --profile release
 
 echo "== dune runtest (default = fast memory engine)"
 dune runtest
@@ -203,6 +208,13 @@ _build/default/bench/main.exe --smoke --baseline BENCH.json \
 # the score is simulated-work based: consecutive runs must be bit-identical
 cmp "$score_a" "$score_b"
 "$CLI" validate-bench "$score_a"
+# the timed and scored build is the release build: without
+# dune-workspace the default build is dev and this fails
+if command -v jq >/dev/null 2>&1; then
+  jq -e '.profile == "release"' "$score_a" >/dev/null
+else
+  grep -q '"profile":"release"' "$score_a"
+fi
 # the gate is two-sided: a deliberate slowdown (env-injected extra
 # allocation) and a deliberate too-good-to-be-true improvement (deflated
 # measurement = stale baseline) must both trip it
@@ -227,8 +239,14 @@ if command -v jq >/dev/null 2>&1; then
   fi
 fi
 # the baseline is read and checked before any kernel runs: a missing,
-# non-JSON or wrong-shape baseline exits 1 without printing a kernel row
-for bad in '' 'not json' '{"engine":"fast","smoke":true}'; do
+# non-JSON, wrong-shape or other-profile baseline exits 1 without
+# printing a kernel row
+wrong_profile=$(sed 's/"profile":"release"/"profile":"dev"/' BENCH.json)
+case "$wrong_profile" in
+  *'"profile":"dev"'*) ;;
+  *) echo "BENCH.json has no \"profile\":\"release\" field" >&2; exit 1 ;;
+esac
+for bad in '' 'not json' '{"engine":"fast","smoke":true}' "$wrong_profile"; do
   rm -f "$score_b"
   [ -z "$bad" ] || echo "$bad" >"$score_b"
   rc=0

@@ -22,7 +22,7 @@
     the {e same} input scale — fixed setup allocation amortizes
     differently over smoke and full inputs — so the document records
     its scale and {!gate} refuses a cross-scale comparison, exactly
-    like an engine mismatch.
+    like an engine mismatch or a build-profile mismatch.
 
     The gate is two-sided: an unexplained {e improvement} beyond
     tolerance fails just like a regression, because it means the
@@ -61,6 +61,13 @@ type measurement = {
 let version = 1
 let word_bytes = Sys.word_size / 8
 let engine () = Fastpath.kind_name (Fastpath.kind ())
+
+(** The dune profile this build was compiled under: ["release"] by
+    default, ["dev"] under [--profile dev]. Only the release build
+    inlines across modules, which can move allocation (a value boxed at
+    an opaque call is not boxed once the call is inlined), so scores
+    compare only within one profile. *)
+let profile = Build_profile.name
 
 (** [Gc.allocated_bytes]'s unit is not the same on every runtime (this
     one reports words); calibrate once against a known allocation — 64k
@@ -305,6 +312,7 @@ let doc ~smoke ~label ~prev ms =
       ("bench", Json.Str "score");
       ("version", Json.Int version);
       ("engine", Json.Str (engine ()));
+      ("profile", Json.Str profile);
       ("smoke", Json.Bool smoke);
       ("word_bytes", Json.Int word_bytes);
       ("kernels", Json.List (List.map json_of_measurement ms));
@@ -330,8 +338,8 @@ type verdict = {
 }
 
 (** Whether [j] has the shape of a score document: [bench] is
-    ["score"], [engine] names one of the two memory engines,
-    [score_total] is a number, [kernels] is a non-empty list of entries
+    ["score"], [engine] names one of the two memory engines, [profile]
+    is a string, [score_total] is a number, [kernels] is a non-empty list of entries
     each with a string [kernel] and an int [score], and [trend] is
     non-empty. The one schema check, shared by [validate-bench] and
     {!check_baseline}. *)
@@ -350,6 +358,12 @@ let validate j =
     | Some (Json.Str e) -> Error (Printf.sprintf "unknown engine %S (expected naive or fast)" e)
     | Some _ -> Error "key \"engine\" is not a string"
     | None -> Error "missing key \"engine\""
+  in
+  let* () =
+    match Json.member "profile" j with
+    | Some (Json.Str _) -> Ok ()
+    | Some _ -> Error "key \"profile\" is not a string"
+    | None -> Error "missing key \"profile\""
   in
   let* () =
     match Json.member "score_total" j with
@@ -374,25 +388,32 @@ let validate j =
 
 (** Whether [baseline] can be compared against a run of this build at
     all: it must be a valid score document ({!validate}) from the same
-    engine and input scale (smoke vs full). Needs no measurement, so
-    callers can reject a wrong baseline before running any kernel. *)
+    engine, build profile and input scale (smoke vs full). Needs no
+    measurement, so callers can reject a wrong baseline before running
+    any kernel. *)
 let check_baseline ~smoke baseline =
   let this_engine = engine () in
-  match (validate baseline, Json.member "engine" baseline, Json.member "smoke" baseline) with
-  | Error e, _, _ -> Error ("baseline is not a `bench score' document: " ^ e)
-  | Ok (), Some (Json.Str e), _ when e <> this_engine ->
+  let field k = Json.member k baseline in
+  match (validate baseline, field "engine", field "profile", field "smoke") with
+  | Error e, _, _, _ -> Error ("baseline is not a `bench score' document: " ^ e)
+  | Ok (), Some (Json.Str e), _, _ when e <> this_engine ->
     Error
       (Printf.sprintf
          "engine mismatch: baseline measured on %S, this run on %S — regenerate \
           the baseline under the same engine" e this_engine)
-  | Ok (), _, Some (Json.Bool b) when b <> smoke ->
+  | Ok (), _, Some (Json.Str p), _ when p <> profile ->
+    Error
+      (Printf.sprintf
+         "profile mismatch: baseline built under the %S profile, this run under %S \
+          — compare builds of the same profile" p profile)
+  | Ok (), _, _, Some (Json.Bool b) when b <> smoke ->
     Error
       (Printf.sprintf
          "input-scale mismatch: baseline is a %s run, this is a %s run — scores \
           only compare at equal scale"
          (if smoke then "full" else "smoke")
          (if smoke then "smoke" else "full"))
-  | Ok (), _, _ -> Ok ()
+  | Ok (), _, _, _ -> Ok ()
 
 (** Compare a fresh run against a committed baseline document: per
     kernel, the score against the tolerance and the simulated-work

@@ -202,11 +202,13 @@ let test_reservoir_determinism () =
 
 (* ---------- the perf-score gate ---------- *)
 
-let score_baseline ?(engine = Score.engine ()) ?(smoke = false) kernels =
+let score_baseline ?(engine = Score.engine ()) ?(profile = Score.profile) ?(smoke = false)
+    kernels =
   Json.Obj
     [
       ("bench", Json.Str "score");
       ("engine", Json.Str engine);
+      ("profile", Json.Str profile);
       ("smoke", Json.Bool smoke);
       ( "kernels",
         Json.List
@@ -267,6 +269,11 @@ let test_gate_mismatches () =
        (Score.gate ~smoke:false ~tolerance_pct:25
           ~baseline:(score_baseline ~engine:(other_engine ()) [ ("k", 1) ])
           [ meas "k" 1 ]));
+  Alcotest.(check bool) "profile mismatch refused" true
+    (is_error
+       (Score.gate ~smoke:false ~tolerance_pct:25
+          ~baseline:(score_baseline ~profile:(Score.profile ^ "-other") [ ("k", 1) ])
+          [ meas "k" 1 ]));
   Alcotest.(check bool) "scale (smoke) mismatch refused" true
     (is_error
        (Score.gate ~smoke:true ~tolerance_pct:25
@@ -281,7 +288,7 @@ let test_gate_mismatches () =
        (Score.gate ~smoke:false ~tolerance_pct:25
           ~baseline:(score_baseline [ ("other", 1) ])
           [ meas "k" 1 ]));
-  Alcotest.(check bool) "same engine and scale accepted" true
+  Alcotest.(check bool) "same engine, profile and scale accepted" true
     (not
        (is_error
           (Score.gate ~smoke:false ~tolerance_pct:25
@@ -350,6 +357,8 @@ let test_validate_refusals () =
       ("no bench key", Json.Obj (without "bench"), "missing key \"bench\"");
       ("an unknown engine", with_ "engine" (Json.Str "trace"),
        "unknown engine \"trace\" (expected naive or fast)");
+      ("no profile key", Json.Obj (without "profile"), "missing key \"profile\"");
+      ("a non-string profile", with_ "profile" (Json.Int 1), "key \"profile\" is not a string");
       ("empty kernels", with_ "kernels" (Json.List []), "missing or empty \"kernels\" array");
       ("a malformed kernel entry",
        with_ "kernels" (Json.List [ Json.Obj [ ("kernel", Json.Str "k"); ("score", Json.Float 1.) ] ]),
